@@ -16,18 +16,13 @@ from repro.core.analysis.queuing import (
     correlation_size_vs_time,
     timing_table,
     timings_for_result,
-    top_jobs_breakdown,
 )
 
 
-def test_fig5_local_queuing_breakdown(benchmark, eightday_report, frame):
+def test_fig5_local_queuing_breakdown(benchmark, eightday_report):
     result = eightday_report["exact"]
-    timings = timings_for_result(result, frame=frame)
-
-    if frame == "columnar":
-        top = benchmark(timing_table(result).top_jobs, "local", 10.0, 40)
-    else:
-        top = benchmark(top_jobs_breakdown, timings, "local", 10.0, 40)
+    timings = timings_for_result(result)
+    top = benchmark(timing_table(result).top_jobs, "local", 10.0, 40)
 
     assert top, "expected local jobs with >=10% transfer-time share"
     assert all(t.transfer_pct >= 10.0 for t in top)

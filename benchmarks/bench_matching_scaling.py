@@ -3,66 +3,25 @@
 The paper processes ~1M jobs and ~7M transfers; §5.5 notes that
 "the volume of metadata imposes the need for efficient computing for
 scalability".  This benchmark measures the matching pipeline's
-throughput (candidate-join construction plus all three matchers) so
-regressions in the hash-join implementation are caught, and compares
-the plan/execute dataplane (cached window artifacts + sweep executor,
-``--workers N``) against the pre-refactor per-run-rebuild architecture.
+throughput (candidate-join construction plus all three matchers) and
+compares the plan/execute dataplane (cached window artifacts + sweep
+executor, ``--workers N``) against the pre-refactor per-run-rebuild
+architecture.  End-to-end and per-layer timings of the same path live
+in the perf harness (``benchmarks/perf``).
 """
 
 import time
 
 from conftest import write_comparison
 
-from repro.core.matching.base import CandidateIndex
-from repro.core.matching.exact import ExactMatcher
+from repro.columnar import ColumnarIndex
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec import (
     WindowArtifacts,
-    WindowPlan,
     build_report,
     default_matchers,
     growing_plans,
 )
-
-
-def test_candidate_index_build_throughput(benchmark, eightday):
-    telemetry = eightday.telemetry
-
-    index = benchmark(CandidateIndex, telemetry.files, telemetry.transfers)
-    assert index is not None
-
-
-def test_exact_matcher_throughput(benchmark, eightday):
-    telemetry = eightday.telemetry
-    t0, t1 = eightday.harness.window
-    jobs = eightday.source.user_jobs_completed_in(t0, t1)
-    index = CandidateIndex(telemetry.files, telemetry.transfers)
-    matcher = ExactMatcher(eightday.harness.known_site_names())
-
-    result = benchmark(matcher.run, jobs, index, len(telemetry.transfers))
-
-    assert result.n_jobs_considered == len(jobs)
-
-    # An explicit timed run: pytest-benchmark's stats are unavailable
-    # under ``--benchmark-disable`` (how CI runs this file), and the
-    # artifact must always carry throughput numbers.
-    start = time.perf_counter()
-    matcher.run(jobs, index, len(telemetry.transfers))
-    wall = time.perf_counter() - start
-
-    write_comparison(
-        "matching_scaling",
-        paper={"note": "paper reports no timings; §5.5 demands scalability"},
-        measured={
-            "jobs_considered": result.n_jobs_considered,
-            "transfers_in_store": len(eightday.telemetry.transfers),
-            "files_in_store": len(eightday.telemetry.files),
-            "wall_seconds": round(wall, 4),
-            "jobs_per_sec": round(len(jobs) / wall, 1) if wall else 0.0,
-        },
-        notes="wall_seconds/jobs_per_sec are a single in-process Exact "
-              "run; the pytest-benchmark table has the distribution.",
-    )
 
 
 def test_full_pipeline_throughput(benchmark, eightday):
@@ -81,10 +40,9 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
     pre-selection and rebuilt the candidate join.  New: each window is
     materialized once into cached artifacts shared by all methods, and
     the sweep fans across ``--workers`` processes.  Results must be
-    identical; wall-clock must improve.  Pinned to the row engine —
-    the build counter it asserts on belongs to ``CandidateIndex``, and
-    the caching win must hold without the columnar kernels' help (see
-    ``test_engine_comparison`` for the row-vs-columnar gate).
+    identical; wall-clock must improve.  The structural guarantee is
+    the ``ColumnarIndex`` build counter: one join per window instead of
+    one per (window, method).
     """
     source = eightday.source
     known = eightday.harness.known_site_names()
@@ -92,24 +50,24 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
     plans = growing_plans(t0, t1, n_points=6)
     matchers = default_matchers(known)
 
-    builds_before = CandidateIndex.build_count
+    builds_before = ColumnarIndex.build_count
     start = time.perf_counter()
     naive = []
     for plan in plans:  # the pre-refactor shape: rebuild per (window, method)
         results = {}
         for matcher in matchers:
-            artifacts = WindowArtifacts.materialize(source, plan, engine="row")
+            artifacts = WindowArtifacts.materialize(source, plan)
             results[matcher.name] = build_report(artifacts, [matcher])[matcher.name]
         naive.append(results)
     t_naive = time.perf_counter() - start
-    naive_builds = CandidateIndex.build_count - builds_before
+    naive_builds = ColumnarIndex.build_count - builds_before
 
-    pipeline = MatchingPipeline(source, known_sites=known, engine="row")
-    builds_before = CandidateIndex.build_count
+    pipeline = MatchingPipeline(source, known_sites=known)
+    builds_before = ColumnarIndex.build_count
     start = time.perf_counter()
     swept = pipeline.sweep(plans, matchers=matchers, executor=executor)
     t_exec = time.perf_counter() - start
-    cached_builds = CandidateIndex.build_count - builds_before
+    cached_builds = ColumnarIndex.build_count - builds_before
 
     for old, new in zip(naive, swept):
         for m in matchers:
@@ -148,56 +106,4 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
         },
         notes="Plan/execute dataplane vs per-(window,method) rebuild; "
               "outputs verified identical.",
-    )
-
-
-def test_engine_comparison(eightday, results_dir):
-    """Row vs columnar over the largest seeded window — the CI gate.
-
-    Both engines materialize the full 8-day window from scratch and run
-    the Exact/RM1/RM2 ladder; ``matched_pairs()`` must be identical per
-    method, and the columnar kernels must not be slower than the row
-    join (locally they are >2x faster; the gate only demands parity-or-
-    better so shared CI runners can't flake it).
-    """
-    source = eightday.source
-    known = eightday.harness.known_site_names()
-    t0, t1 = eightday.harness.window
-    plan = WindowPlan(t0, t1)
-    matchers = default_matchers(known)
-    source.column_packs()  # ingest-time lowering, amortized across windows
-
-    def best_of(engine, repeats=3):
-        best, report = float("inf"), None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            artifacts = WindowArtifacts.materialize(source, plan, engine=engine)
-            report = build_report(artifacts, matchers, engine=engine)
-            best = min(best, time.perf_counter() - start)
-        return best, report
-
-    t_row, row_report = best_of("row")
-    t_col, col_report = best_of("columnar")
-
-    for m in row_report.methods:
-        assert col_report[m].matched_pairs() == row_report[m].matched_pairs()
-
-    speedup = t_row / t_col if t_col > 0 else float("inf")
-    assert speedup >= 1.0, (
-        f"columnar engine regressed below the row engine: {speedup:.2f}x "
-        f"(row {t_row * 1e3:.1f} ms, columnar {t_col * 1e3:.1f} ms)")
-
-    write_comparison(
-        "matching_engine_comparison",
-        paper={"note": "paper reports no timings; §5.5 demands scalability"},
-        measured={
-            "window_days": round((t1 - t0) / 86400.0, 2),
-            "jobs": row_report.n_jobs,
-            "transfers": row_report.n_transfers,
-            "row_ms": round(t_row * 1e3, 2),
-            "columnar_ms": round(t_col * 1e3, 2),
-            "speedup": round(speedup, 2),
-        },
-        notes="Full-window Exact/RM1/RM2 ladder, best of 3, "
-              "matched_pairs() verified identical per method.",
     )

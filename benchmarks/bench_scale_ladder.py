@@ -68,8 +68,7 @@ def test_36k_rung_throughput_and_memory(results_dir):
 
 
 def _timed_execute(source, ds, plan, ctx, shared_memory):
-    ex = ParallelExecutor(workers=2, mp_context=ctx, engine="columnar",
-                          shared_memory=shared_memory)
+    ex = ParallelExecutor(workers=2, mp_context=ctx, shared_memory=shared_memory)
     start = time.perf_counter()
     with ex:
         report = ex.execute(source, [plan], known_sites=ds.known_sites)[0]

@@ -48,8 +48,6 @@ from repro.units import EB, bytes_to_human
 
 
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
-    from repro.exec import DEFAULT_ENGINE, DEFAULT_FRAME, ENGINES, FRAMES
-
     p.add_argument("--days", type=float, default=2.0, help="campaign length (days)")
     p.add_argument("--seed", type=int, default=2025, help="root random seed")
     p.add_argument("--intensity", type=float, default=1.0, help="arrival-rate scale")
@@ -57,17 +55,6 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1, metavar="N",
         help="processes for the matching executor (1 = serial; results "
              "are identical either way)")
-    p.add_argument(
-        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
-        help="matching join engine: 'columnar' runs the vectorized "
-             "kernels over interned column packs, 'row' the reference "
-             "dict join (identical results; default %(default)s)")
-    p.add_argument(
-        "--frame", choices=FRAMES, default=DEFAULT_FRAME,
-        help="analysis dataplane: 'columnar' lowers match results to "
-             "MatchFrame arrays and runs vectorized analyses, 'row' the "
-             "reference per-record loops (identical results; default "
-             "%(default)s)")
     p.add_argument(
         "--shards", type=int, default=0, metavar="N",
         help="partition the jobs/transfers time indices into N shards "
@@ -96,13 +83,7 @@ def _study(args) -> EightDayStudy:
     shards = getattr(args, "shards", 0) or 0
     shard_seconds = (args.days * 86400.0 / shards) if shards > 0 else None
     print(f"simulating {args.days:g} days (seed {args.seed}) ...", file=sys.stderr)
-    return EightDayStudy(
-        cfg,
-        engine=getattr(args, "engine", None),
-        frame=getattr(args, "frame", None),
-        obs=obs,
-        shard_seconds=shard_seconds,
-    ).run()
+    return EightDayStudy(cfg, obs=obs, shard_seconds=shard_seconds).run()
 
 
 def _matchers(args, study: EightDayStudy):
@@ -143,9 +124,9 @@ def cmd_match(args) -> int:
     telemetry = study.telemetry
     report = study.matching_report(workers=args.workers, matchers=_matchers(args, study))
     headline_method = "exact" if "exact" in report.methods else report.methods[0]
-    stats = headline_stats(report, method=headline_method, frame=args.frame)
+    stats = headline_stats(report, method=headline_method)
     t0, t1 = study.harness.window
-    columns = study.pipeline.artifacts(t0, t1).columns if args.frame == "columnar" else None
+    columns = study.pipeline.artifacts(t0, t1).columns
     print(f"matched transfers : {stats.n_matched_transfers} "
           f"({stats.transfer_match_pct:.2f}% of taskid transfers)")
     print(f"matched jobs      : {stats.n_matched_jobs} "
@@ -157,8 +138,8 @@ def cmd_match(args) -> int:
             activity_breakdown(report["exact"], telemetry.transfers, columns=columns)))
         print()
     print(render_method_tables(
-        method_comparison_transfers(report, frame=args.frame),
-        method_comparison_jobs(report, frame=args.frame),
+        method_comparison_transfers(report),
+        method_comparison_jobs(report),
         report.n_transfers_with_taskid,
         report.n_jobs,
     ))
@@ -171,8 +152,8 @@ def cmd_analyze(args) -> int:
     from repro.exec import make_executor
 
     study = _study(args)
-    with make_executor(args.workers, engine=args.engine) as ex:
-        results = study.analyses(executor=ex, frame=args.frame)
+    with make_executor(args.workers) as ex:
+        results = study.analyses(executor=ex)
     stats = results["headline"]
     print(f"matched jobs      : {stats.n_matched_jobs} "
           f"({stats.job_match_pct:.2f}% of user jobs)")
@@ -208,7 +189,7 @@ def cmd_sweep(args) -> int:
     from repro.exec.executor import make_executor
 
     study = _study(args)
-    executor = make_executor(args.workers, engine=args.engine)
+    executor = make_executor(args.workers)
     t0, t1 = study.harness.window
     curve = growing_window_curve(
         study.pipeline, t0, t1, n_points=args.points, executor=executor)
@@ -300,9 +281,7 @@ def cmd_profile(args) -> int:
     obs = Obs.collecting()
     cfg = EightDayConfig(seed=args.seed, days=args.days, intensity=args.intensity)
     print(f"simulating {args.days:g} days (seed {args.seed}) ...", file=sys.stderr)
-    study = EightDayStudy(
-        cfg, engine=args.engine, frame=args.frame, obs=obs
-    ).run()
+    study = EightDayStudy(cfg, obs=obs).run()
     report = study.matching_report(workers=args.workers)
     study.analyses(workers=args.workers)
     processor = study.stream(batch_seconds=args.batch_hours * 3600.0)
@@ -440,7 +419,6 @@ def cmd_scale(args) -> int:
         days=args.days,
         shard_seconds=shard_seconds,
         workers=args.workers,
-        engine=args.engine,
         shared_memory=shared_memory,
     )
     to_json_file(args.out, payload)
@@ -502,8 +480,6 @@ def cmd_serve(args) -> int:
                 rate=args.tenant_rate if args.tenant_rate > 0 else None,
                 queue_depth=args.queue_depth,
             ),
-            engine=args.engine,
-            frame=args.frame,
             verify_every=args.verify_every,
         ),
     )
@@ -552,7 +528,6 @@ def cmd_serve_bench(args) -> int:
         duration=args.duration,
         long_fraction=args.long_fraction,
         verify_every=args.verify_every,
-        engine=args.engine,
     )
     print(f"simulating {args.days:g} days, then {len(rates)} load levels "
           f"x {args.duration:g}s ...", file=sys.stderr)
@@ -666,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="window length in days (default %(default)s)")
     sc.add_argument("--workers", type=int, default=1, metavar="N",
                     help="processes for the matching executor")
-    sc.add_argument("--engine", default="columnar",
-                    help="matching join engine (default %(default)s)")
     sc.add_argument("--shard-hours", type=float, default=24.0,
                     metavar="HOURS",
                     help="time-shard width for the jobs/transfers indices "
@@ -701,8 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--seed", type=int, default=2025, help="root random seed")
     sb.add_argument("--intensity", type=float, default=1.0,
                     help="arrival-rate scale for the simulated campaign")
-    sb.add_argument("--engine", default="columnar",
-                    help="matching join engine (default %(default)s)")
     _add_serve_args(sb)
     sb.add_argument("--rates", default="40,160,2400",
                     help="comma-separated offered loads in req/s; the top "

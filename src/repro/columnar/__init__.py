@@ -1,54 +1,16 @@
-"""Columnar matching engine: interned column packs + vectorized kernels.
+"""Columnar dataplane: interned column packs + vectorized kernels.
 
-The row engine (``repro.core.matching``) is the specification: plain
-records, dict joins, per-job Python loops.  This package lowers each
-materialized window into structure-of-arrays packs — NumPy columns with
-dictionary-encoded strings — and reruns Algorithm 1's join and final
-filters as vectorized kernels, producing bit-identical
-``matched_pairs()`` (property-tested in ``tests/test_columnar.py``).
-
-Downstream of matching, :mod:`repro.columnar.frame` lowers each match
-result into a :class:`MatchFrame` (per-job arrays + CSR ragged transfer
-mapping) and :mod:`repro.columnar.kernels` supplies the array
-primitives the §5 analyses run on — the *analysis dataplane*, selected
-by ``--frame {row,columnar}`` just like the matching engine is by
-``--engine`` (see :data:`DEFAULT_FRAME`; parity is property-tested in
-``tests/test_analysis_frame.py``).
+This package lowers each materialized window into structure-of-arrays
+packs — NumPy columns with dictionary-encoded strings — and runs
+Algorithm 1's join and final filters as vectorized kernels
+(:mod:`repro.columnar.engine`).  Downstream of matching,
+:mod:`repro.columnar.frame` lowers each match result into a
+:class:`MatchFrame` (per-job arrays + CSR ragged transfer mapping) and
+:mod:`repro.columnar.kernels` supplies the array primitives the §5
+analyses run on.  The plain-record reference implementations live in
+``tests/oracle.py``; the parity suites hold this package bit-identical
+to them.
 """
-
-# Names and validators live above the submodule imports: modules on
-# the frame → matching-base → pipeline import chain pull them from a
-# partially initialized ``repro.columnar``, which only works for
-# bindings that already exist at that point.
-
-#: Recognized engine names, in documentation order.
-ENGINES = ("row", "columnar")
-
-#: The engine used when callers don't choose: columnar, now that the
-#: row-parity property tests gate every release.
-DEFAULT_ENGINE = "columnar"
-
-#: Recognized analysis-dataplane names, mirroring :data:`ENGINES`.
-FRAMES = ("row", "columnar")
-
-#: The analysis dataplane used when callers don't choose: the
-#: MatchFrame kernels, gated by the same bit-identity parity suite.
-DEFAULT_FRAME = "columnar"
-
-
-def validate_engine(engine: str) -> str:
-    """Normalize/validate an engine name, raising on unknown values."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
-
-def validate_frame(frame: str) -> str:
-    """Normalize/validate an analysis-dataplane name."""
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame {frame!r}; expected one of {FRAMES}")
-    return frame
-
 
 # The engine and frame modules reach back into repro.core (for
 # matcher/JobMatch types), whose own init imports this package — so
@@ -94,10 +56,6 @@ from repro.columnar.packs import (  # noqa: E402
 __all__ = [
     "CLASS_ORDER",
     "ColumnarIndex",
-    "DEFAULT_ENGINE",
-    "DEFAULT_FRAME",
-    "ENGINES",
-    "FRAMES",
     "FilePack",
     "JobPack",
     "MatchFrame",
@@ -113,6 +71,4 @@ __all__ = [
     "lower_transfers",
     "segmented_cummax",
     "supports_columnar",
-    "validate_engine",
-    "validate_frame",
 ]

@@ -1,32 +1,32 @@
 """Vectorized Algorithm-1 kernels over column packs.
 
-:class:`ColumnarIndex` is the structure-of-arrays counterpart of
-:class:`~repro.core.matching.base.CandidateIndex`: it lowers one
-window's records into packs, builds the jobs → files → transfers join
-once as flat candidate arrays, and then runs each matcher's final
-filters (time, site, whole-set size) as NumPy kernels.
+:class:`ColumnarIndex` is the matching dataplane: it lowers one
+window's records into packs (or takes pre-lowered ones), builds the
+jobs → files → transfers join once as flat candidate arrays, and then
+runs each matcher's final filters (time, site, whole-set size) as
+NumPy kernels.
 
-Bit-identical output is the contract.  The row engine's ordering rules
-are reproduced exactly:
+Its output is held bit-identical to the plain-record reference join in
+``tests/oracle.py``, whose ordering rules are reproduced exactly:
 
 * jobs are scanned in window order;
 * a job's candidates enumerate its file rows in insertion order, and
   each file's transfers in insertion order (the join arrays are sorted
   with *stable* sorts, so equal keys keep their relative order);
 * duplicate candidates are dropped on first occurrence per
-  ``(job, row_id)``, like the row engine's ``seen`` set;
+  ``(job, row_id)``;
 * integer byte totals are summed exactly (``np.add.at`` on ``int64``),
   never through float accumulators.
 
-Matchers participate through the template hooks of
-:class:`~repro.core.matching.base.BaseMatcher`: the engine recognizes
+Matchers participate through the predicate hooks of
+:class:`~repro.core.matching.base.BaseMatcher`: the kernels recognize
 the stock ``site_ok`` implementations (strict, and RM2's
-uncertain-site relaxation) and vectorizes them; a matcher that
-overrides :meth:`~repro.core.matching.base.BaseMatcher.select_job`
+uncertain-site relaxation) and RM3's stock scoring terms, and
+vectorize them; a matcher that overrides
+:meth:`~repro.core.matching.base.BaseMatcher.select_job`
 (e.g. :class:`~repro.core.matching.subset.SubsetMatcher`) gets its
 per-job set-level decision invoked on the vectorized candidates.
-Anything else is reported unsupported, and callers fall back to the
-row engine — never silently diverge.
+Anything else is rejected with ``TypeError`` — there is no fallback.
 """
 
 from __future__ import annotations
@@ -54,17 +54,14 @@ def supports_columnar(matcher: BaseMatcher) -> bool:
     """Can this matcher's filters be lowered to the vectorized kernels?
 
     True when the matcher uses the stock candidate filtering — the base
-    ``run``/``match_job``/``time_ok`` template and a recognized
-    ``site_ok`` (strict or RM2's relaxation).  ``select_job`` overrides
-    are fine: they run per job on the vectorized candidates.  RM3's
-    size-tolerant join + scored ``match_job_scored`` are recognized as
-    long as the scoring hooks are the stock ones
-    (:meth:`ColumnarIndex._run_rm3` lowers the score directly, not
-    through the row hooks).
+    ``match_job``/``time_ok`` template and a recognized ``site_ok``
+    (strict or RM2's relaxation).  ``select_job`` overrides are fine:
+    they run per job on the vectorized candidates.  RM3's size-tolerant
+    join + scored ``match_job_scored`` are recognized as long as the
+    scoring hooks are the stock ones (:meth:`ColumnarIndex._run_rm3`
+    lowers the score directly, not through the scalar hooks).
     """
     cls = type(matcher)
-    if cls.run is not BaseMatcher.run:
-        return False
     if cls.size_tolerant_join:
         return (
             getattr(cls, "match_job_scored", None) is RM3Matcher.match_job_scored
@@ -127,13 +124,13 @@ class ColumnarIndex:
     """The Algorithm-1 join as flat candidate arrays, built once per window.
 
     ``cand_job``/``cand_tpos`` enumerate every deduplicated
-    (job, candidate transfer) pair in the row engine's iteration order;
-    each matcher run is then a sequence of masks over these arrays.
+    (job, candidate transfer) pair in Algorithm 1's per-job enumeration
+    order; each matcher run is then a sequence of masks over these
+    arrays.
     """
 
-    #: Process-wide construction counter, mirroring
-    #: ``CandidateIndex.build_count``; tests assert the artifact cache
-    #: keeps this from growing with matchers × windows.
+    #: Process-wide construction counter; tests assert the artifact
+    #: cache keeps this from growing with matchers × windows.
     build_count = 0
 
     def __init__(
@@ -177,9 +174,9 @@ class ColumnarIndex:
         jp, fp, tp = self.columns.jobs, self.columns.files, self.columns.transfers
         n_jobs = len(jp)
 
-        # Transfers reachable by the join: task identity present
-        # (``if t.jeditaskid`` in the row engine — truthiness, not > 0).
-        joinable = np.flatnonzero(tp.jeditaskid != 0)
+        # Transfers reachable by the join: a positive task id, the same
+        # rule as every ``n_transfers_with_taskid`` denominator.
+        joinable = np.flatnonzero(tp.jeditaskid > 0)
 
         # (jeditaskid, lfn_code) -> sorted transfer runs.  Task ids are
         # code-compressed over the union of both sides so the pair packs
@@ -235,11 +232,11 @@ class ColumnarIndex:
         r_fi = cand_fi[attr_relaxed]
         size_eq = tp.size[r_tpos] == fp.size[r_fi]
 
-        # First-occurrence dedup per (job, row_id), like the row
-        # engine's ``seen`` set.  row_id is code-compressed so the pair
+        # First-occurrence dedup per (job, row_id).  row_id is
+        # code-compressed so the pair
         # packs into int64 even for arbitrary stored ids.  The sized
-        # and relaxed joins dedup independently — each mirrors its row
-        # loop's enumeration, so "first occurrence" can differ between
+        # and relaxed joins dedup independently — each follows its own
+        # enumeration, so "first occurrence" can differ between
         # them (a size-mismatched file row can reach a transfer first).
         rid_code, _, rid_span = _joint_codes(
             tp.row_id, tp.row_id[:0], (1 << 62) // (n_jobs + 1)
@@ -328,11 +325,15 @@ class ColumnarIndex:
     # -- per-matcher execution ----------------------------------------------------
 
     def run(self, matcher: BaseMatcher, n_transfers_considered: int) -> MatchResult:
-        """One matcher's final filters as kernels; row-identical output."""
+        """One matcher's final filters as kernels.
+
+        Raises ``TypeError`` for a matcher whose predicates the kernels
+        cannot lower (see :func:`supports_columnar`).
+        """
         if not supports_columnar(matcher):
             raise TypeError(
-                f"matcher {matcher.name!r} overrides row predicates the "
-                "columnar engine cannot lower; run it on the row engine"
+                f"matcher {matcher.name!r} ({type(matcher).__name__}) overrides "
+                "predicate hooks the columnar kernels cannot lower"
             )
         obs = get_obs()
         with obs.tracer.span("columnar.run", cat="kernel") as sp:
@@ -373,8 +374,8 @@ class ColumnarIndex:
             # The final filtered candidate arrays are exactly the
             # matched ragged mapping — lower them to the analysis frame
             # here, while they are still in hand (a select_job override
-            # reorders per job, so that path falls back to lazy
-            # row lowering via MatchResult.frame()).
+            # reorders per job, so that path lowers its matches lazily
+            # via MatchResult.frame()).
             frame = MatchFrame.from_candidates(self.columns, cand_job, cand_tpos)
             take = self.transfers.__getitem__
             matches = [
@@ -398,7 +399,7 @@ class ColumnarIndex:
         the size-relaxed join arrays: the hard gate (condition (1) +
         directedness), then ``(f_time * f_site) * f_size >= threshold``
         in the same association order and with the same int→float64
-        conversions as the row reference (see the module docstring of
+        conversions as the scalar hooks (see the module docstring of
         :mod:`repro.core.matching.rm3`).
         """
         tp, jp, fp = self.columns.transfers, self.columns.jobs, self.columns.files

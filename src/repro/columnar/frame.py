@@ -10,13 +10,14 @@ dataclasses stay available as thin views materialized on demand.
 
 Two builders share the layout:
 
-* :meth:`MatchFrame.from_candidates` — the columnar engine's path: the
-  final ``(cand_job, cand_tpos)`` arrays it already computed *are* the
-  ragged mapping, so the frame is a handful of NumPy gathers from the
-  window's packs.  The engine attaches this eagerly, which also means
-  parallel sweeps build frames inside the worker processes.
-* :meth:`MatchFrame.from_matches` — row fallback, lowering the
-  ``JobMatch`` list the same way the packs lower records.
+* :meth:`MatchFrame.from_candidates` — the matching kernels' path: the
+  final ``(cand_job, cand_tpos)`` arrays they already computed *are*
+  the ragged mapping, so the frame is a handful of NumPy gathers from
+  the window's packs.  The kernels attach this eagerly, which also
+  means parallel sweeps build frames inside the worker processes.
+* :meth:`MatchFrame.from_matches` — for results assembled as
+  ``JobMatch`` lists (``select_job`` overrides, the stream's
+  accumulated state), lowered the same way the packs lower records.
 
 The frame is self-contained (compact gathered arrays, not views into
 the full window packs), so pickling a result across the process pool
@@ -80,8 +81,8 @@ class MatchFrame:
     t_size: np.ndarray  # int64
     t_local: np.ndarray  # bool
 
-    #: Positions into the window's ``TransferPack`` when engine-built
-    #: (None on the row fallback, which has no pack to point into).
+    #: Positions into the window's ``TransferPack`` when kernel-built
+    #: (None from :meth:`from_matches`, which has no pack to point into).
     transfer_rows: Optional[np.ndarray] = None
 
     _row_first: Optional[np.ndarray] = field(
@@ -107,7 +108,7 @@ class MatchFrame:
     def from_matches(
         cls, matches: Sequence[JobMatch], interner: Optional[StringInterner] = None
     ) -> "MatchFrame":
-        """Row fallback: lower a ``JobMatch`` list into the frame layout."""
+        """Lower a ``JobMatch`` list into the frame layout."""
         it = interner if interner is not None else StringInterner()
         kept = [m for m in matches if m.transfers]  # mirrors matched_jobs()
         jobs = [m.job for m in kept]
@@ -148,12 +149,12 @@ class MatchFrame:
     def from_candidates(
         cls, columns: WindowColumns, cand_job: np.ndarray, cand_tpos: np.ndarray
     ) -> "MatchFrame":
-        """Engine path: gather the frame straight from the window packs.
+        """Kernel path: gather the frame straight from the window packs.
 
         ``cand_job`` (non-decreasing job positions) and ``cand_tpos``
-        (transfer pack positions) are the columnar engine's final
+        (transfer pack positions) are the matching kernels' final
         filtered candidate arrays — i.e. exactly the matched ragged
-        mapping, in the row engine's enumeration order.
+        mapping, in Algorithm 1's enumeration order.
         """
         jp, tp, it = columns.jobs, columns.transfers, columns.interner
         starts = group_boundaries(cand_job)

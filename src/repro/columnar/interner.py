@@ -1,12 +1,11 @@
-"""String interning for the columnar engine.
+"""String interning for the columnar kernels.
 
 Algorithm 1 joins on string attributes (``lfn``, ``dataset``,
 ``proddblock``, ``scope``) and filters on site names.  Comparing Python
-strings per candidate is the row engine's single largest cost after the
-loop itself; the columnar engine therefore dictionary-encodes every
-string through a :class:`StringInterner` shared across collections, so
-equality checks lower to ``int64`` comparisons and NumPy can vectorize
-them.
+strings per candidate would dominate a per-record join after the loop
+itself; the kernels therefore dictionary-encode every string through a
+:class:`StringInterner` shared across collections, so equality checks
+lower to ``int64`` comparisons and NumPy can vectorize them.
 
 One interner is shared per source (see
 :meth:`repro.metastore.opensearch.OpenSearchLike.warm_interner`): codes

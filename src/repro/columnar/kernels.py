@@ -107,8 +107,8 @@ def interval_union_lengths(
 
 @instrument_kernel("first_occurrences", rows=lambda values: len(values))
 def first_occurrences(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(unique_values, first_positions)`` — the dedup the row engine's
-    ``seen``-set loops perform, as one ``np.unique`` pass.
+    """``(unique_values, first_positions)`` — a ``seen``-set
+    first-occurrence dedup, as one ``np.unique`` pass.
 
     ``first_positions`` indexes the *first* appearance of each unique
     value in ``values``' original order, so gathering a companion

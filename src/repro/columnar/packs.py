@@ -14,7 +14,7 @@ so the lowering is an acceleration structure, never a second schema.
 Numeric domains: ids and byte counts must fit ``int64``; timestamps are
 ``float64``; a job with no ``endtime`` lowers to ``NaN`` so the strict
 ``starttime < endtime`` comparison is vacuously false, exactly like the
-row engine's ``is not None`` guard.
+matcher hooks' ``is not None`` guard.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ resource-tracker unlink races across pool generations), and on
 
 Lifecycle: archives are refcounted per pool key (see
 :func:`acquire`/:func:`release`) — the executor acquires when it builds
-a pool for a ``(source-token, generation, engine)`` key and releases
+a pool for a ``(source-token, generation)`` key and releases
 when that pool is rotated (generation bump, source change) or closed,
 at which point the spool directory is unlinked.  An ``atexit`` sweep
 catches anything a crashed caller leaked.  Export failures (exotic

@@ -19,7 +19,6 @@ from repro.core.analysis.queuing import (
     compute_timing,
     timing_table,
     timings_for_result,
-    top_jobs_breakdown,
 )
 from repro.core.analysis.summary import (
     ActivityRow,
@@ -32,7 +31,6 @@ from repro.core.analysis.bandwidth import BandwidthSeries, bandwidth_series, bus
 from repro.core.analysis.matrix import TransferMatrix, build_transfer_matrix
 from repro.core.analysis.thresholds import (
     StatusCombo,
-    threshold_sweep,
     threshold_sweep_result,
 )
 from repro.core.analysis.timeline import JobTimeline, build_timeline
@@ -56,7 +54,6 @@ __all__ = [
     "compute_timing",
     "timing_table",
     "timings_for_result",
-    "top_jobs_breakdown",
     "ActivityRow",
     "activity_breakdown",
     "headline_stats",
@@ -68,7 +65,6 @@ __all__ = [
     "TransferMatrix",
     "build_transfer_matrix",
     "StatusCombo",
-    "threshold_sweep",
     "threshold_sweep_result",
     "JobTimeline",
     "build_timeline",

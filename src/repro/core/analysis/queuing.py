@@ -5,25 +5,22 @@ job's queuing time phase in which at least one associated file was
 actively transferring" — i.e. the length of the union of the matched
 transfers' intervals clipped to [creation, start-of-execution].
 
-Two implementations share this module.  The row path
-(:func:`compute_timing` over ``JobMatch`` objects) is the reference;
-the columnar path lowers the result's :class:`MatchFrame` into a
+A match result lowers once, through its :class:`MatchFrame`, into a
 :class:`TimingTable` — every per-job breakdown as parallel arrays, with
 the interval unions computed by one sorted-boundary sweep over the CSR
 ragged mapping (:func:`repro.columnar.kernels.interval_union_lengths`).
-Both produce bit-identical numbers; ``tests/test_analysis_frame.py``
-property-tests the equality.  :func:`timings_for_result` dispatches on
-the ``frame`` name (default :data:`repro.columnar.DEFAULT_FRAME`).
+:func:`compute_timing` is the one-job form the streaming folds apply to
+each match as it finalizes; ``tests/test_analysis_frame.py`` holds the
+table bit-identical to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence
+from typing import List, Literal, Optional
 
 import numpy as np
 
-from repro.columnar import DEFAULT_FRAME, validate_frame
 from repro.columnar.frame import CLASS_ORDER, MatchFrame
 from repro.columnar.kernels import interval_union_lengths
 from repro.core.matching.base import JobMatch, MatchResult, TransferClass
@@ -109,10 +106,9 @@ class TimingTable:
     def from_frame(cls, frame: MatchFrame) -> "TimingTable":
         """Lower every timing row at once from the match frame.
 
-        The per-job interval unions — the row path's dominant cost —
-        become one sweep over the frame's ragged transfer arrays; jobs
-        that never started (NaN ``start``) are dropped afterwards,
-        mirroring ``compute_timing``'s ``None``.
+        The per-job interval unions become one sweep over the frame's
+        ragged transfer arrays; jobs that never started (NaN ``start``)
+        are dropped afterwards, mirroring ``compute_timing``'s ``None``.
         """
         union = interval_union_lengths(
             frame.creation, frame.start, frame.job_offsets, frame.t_start, frame.t_end
@@ -167,7 +163,9 @@ class TimingTable:
         min_transfer_pct: float = 10.0,
         top: int = 40,
     ) -> List[JobTransferTiming]:
-        """Vectorized :func:`top_jobs_breakdown` over the table."""
+        """Figs 5-6: the ``top`` longest-queuing jobs of one locality
+        class whose transfers occupied at least ``min_transfer_pct`` of
+        queue time (stable order among equal queuing times)."""
         wanted = 0 if locality == "local" else 1  # CLASS_ORDER positions
         eligible = np.flatnonzero(
             (self.class_code == wanted) & (self.transfer_pct >= min_transfer_pct)
@@ -198,42 +196,9 @@ def timing_table(result: MatchResult) -> TimingTable:
     return frame._timing
 
 
-def timings_for_result(
-    result: MatchResult, frame: Optional[str] = None
-) -> List[JobTransferTiming]:
-    """Fig 5/6 rows for one result, via the chosen analysis dataplane.
-
-    ``frame`` is ``"row"`` (reference loop over ``JobMatch`` objects)
-    or ``"columnar"`` (lower once to the :class:`TimingTable`, then
-    materialize); ``None`` picks :data:`repro.columnar.DEFAULT_FRAME`.
-    """
-    choice = validate_frame(frame) if frame is not None else DEFAULT_FRAME
-    if choice == "columnar":
-        return timing_table(result).rows()
-    out = []
-    for m in result.matched_jobs():
-        t = compute_timing(m)
-        if t is not None:
-            out.append(t)
-    return out
-
-
-def top_jobs_breakdown(
-    timings: Sequence[JobTransferTiming],
-    locality: Literal["local", "remote"],
-    min_transfer_pct: float = 10.0,
-    top: int = 40,
-) -> List[JobTransferTiming]:
-    """Figs 5-6: the ``top`` longest-queuing jobs of one locality class
-    whose transfers occupied at least ``min_transfer_pct`` of queue time."""
-    wanted = TransferClass.ALL_LOCAL if locality == "local" else TransferClass.ALL_REMOTE
-    eligible = [
-        t
-        for t in timings
-        if t.transfer_class is wanted and t.transfer_pct >= min_transfer_pct
-    ]
-    eligible.sort(key=lambda t: -t.queuing_time)
-    return eligible[:top]
+def timings_for_result(result: MatchResult) -> List[JobTransferTiming]:
+    """Fig 5/6 rows for one result, materialized from its timing table."""
+    return timing_table(result).rows()
 
 
 def mean_transfer_pct(timings) -> float:

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.columnar import DEFAULT_FRAME, validate_frame
-from repro.core.analysis.queuing import (
-    JobTransferTiming,
-    timing_table,
-    timings_for_result,
-)
+from repro.core.analysis.queuing import JobTransferTiming, timing_table
 from repro.core.matching.base import MatchResult
 
 
@@ -100,37 +95,17 @@ class ThresholdSweep:
         return (tail_failed / tail) / (overall_failed / self.n_jobs)
 
 
-def threshold_sweep(
-    timings: Sequence[JobTransferTiming],
-    thresholds: Sequence[float] = tuple(DEFAULT_THRESHOLDS),
-) -> ThresholdSweep:
-    ths = sorted(float(t) for t in thresholds)
-    cumulative: Dict[StatusCombo, List[int]] = {c: [] for c in StatusCombo}
-    by_combo: Dict[StatusCombo, List[float]] = {c: [] for c in StatusCombo}
-    for t in timings:
-        by_combo[StatusCombo.of(t)].append(t.transfer_pct)
-    for combo, pcts in by_combo.items():
-        pcts.sort()
-        for th in ths:
-            cumulative[combo].append(sum(1 for p in pcts if p <= th))
-    return ThresholdSweep(thresholds=ths, cumulative=cumulative, n_jobs=len(timings))
-
-
 def threshold_sweep_result(
     result: MatchResult,
     thresholds: Sequence[float] = tuple(DEFAULT_THRESHOLDS),
-    frame: Optional[str] = None,
 ) -> ThresholdSweep:
-    """Fig 9 sweep straight from a match result, on either dataplane.
+    """Fig 9 sweep straight from a match result.
 
-    The columnar path runs the whole grid as one cumulative pass: sort
-    each status combo's percentage vector once, then every threshold
-    count is a ``searchsorted`` (``side="right"`` ≡ the reference's
+    The whole grid is one cumulative pass over the result's timing
+    table: sort each status combo's percentage vector once, then every
+    threshold count is a ``searchsorted`` (``side="right"`` ≡ a
     ``p <= th`` tally) — no per-threshold rescan of the timings.
     """
-    choice = validate_frame(frame) if frame is not None else DEFAULT_FRAME
-    if choice == "row":
-        return threshold_sweep(timings_for_result(result, frame="row"), thresholds)
     table = timing_table(result)
     ths = sorted(float(t) for t in thresholds)
     tharr = np.asarray(ths, dtype=np.float64)

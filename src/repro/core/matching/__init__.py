@@ -1,7 +1,6 @@
 """Job ↔ transfer matching (Algorithm 1, relaxed and scored variants)."""
 
 from repro.core.matching.base import (
-    CandidateIndex,
     JobMatch,
     MatchResult,
     MatchingReport,
@@ -22,7 +21,6 @@ from repro.core.matching.evaluation import (
 )
 
 __all__ = [
-    "CandidateIndex",
     "JobMatch",
     "MatchResult",
     "TransferClass",

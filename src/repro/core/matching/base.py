@@ -1,20 +1,23 @@
 """Shared matcher machinery.
 
-All three matchers share the candidate-generation stage of Algorithm 1
-— the hash join jobs → files → transfers over
-``(jeditaskid, lfn, dataset, proddblock, scope, file_size)`` — and
-differ only in the final per-job filtering.  The join is built on dict
-indices so the whole pass is O(|J| + |F| + |T|) instead of the naive
-O(|J|·|T|): the "scalable matching algorithms" §4 requires.
+All matchers share the candidate-generation stage of Algorithm 1 — the
+join jobs → files → transfers over
+``(jeditaskid, lfn, dataset, proddblock, scope, file_size)``, built once
+per window by :class:`~repro.columnar.engine.ColumnarIndex` — and
+differ only in the final per-candidate and per-job filtering, expressed
+here as predicate hooks (``time_ok``, ``site_ok``, ``match_job``,
+``select_job``).  The hooks are the specification of each method: the
+columnar kernels lower the stock ones, and the plain-record reference
+in ``tests/oracle.py`` drives them one job at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
+from repro.telemetry.records import JobRecord, TransferRecord
 
 
 class TransferClass(enum.Enum):
@@ -77,8 +80,9 @@ class MatchResult:
     )
 
     #: Columnar lowering of this result (``repro.columnar.frame``).
-    #: The columnar engine attaches it eagerly from its candidate
-    #: arrays; otherwise :meth:`frame` lowers the rows on first use.
+    #: The columnar kernels attach it eagerly from their candidate
+    #: arrays; results assembled elsewhere (``select_job`` overrides,
+    #: the stream's accumulated state) lower their matches on first use.
     _frame: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -127,27 +131,6 @@ class MatchResult:
                     out.append(pair)
         return out
 
-    def jobs_by_class(self) -> Dict[TransferClass, int]:
-        out = {c: 0 for c in TransferClass}
-        for m in self.matched_jobs():
-            out[m.transfer_class] += 1
-        return out
-
-    def local_remote_split(self) -> Tuple[int, int]:
-        """(local, remote) counts over matched transfers (deduplicated)."""
-        seen: Set[int] = set()
-        local = remote = 0
-        for m in self.matches:
-            for t in m.transfers:
-                if t.row_id in seen:
-                    continue
-                seen.add(t.row_id)
-                if t.is_local:
-                    local += 1
-                else:
-                    remote += 1
-        return local, remote
-
 
 @dataclass
 class MatchingReport:
@@ -165,94 +148,6 @@ class MatchingReport:
     @property
     def methods(self) -> List[str]:
         return list(self.results)
-
-
-class CandidateIndex:
-    """The jobs → files → transfers hash join of Algorithm 1.
-
-    Built once per window; each matcher queries
-    :meth:`candidates_for_job` to get T'_j.
-    """
-
-    #: Process-wide construction counter.  The artifact cache
-    #: (``repro.exec.artifacts``) exists to keep this from growing with
-    #: the number of matchers × windows; tests assert on it.
-    build_count = 0
-
-    def __init__(
-        self,
-        files: Sequence[FileRecord],
-        transfers: Sequence[TransferRecord],
-    ) -> None:
-        CandidateIndex.build_count += 1
-        # F'_j: file rows grouped by (pandaid, jeditaskid).
-        self._files_by_job: Dict[Tuple[int, int], List[FileRecord]] = {}
-        for f in files:
-            self._files_by_job.setdefault((f.pandaid, f.jeditaskid), []).append(f)
-
-        # Transfer rows by (jeditaskid, lfn); rows without a task id can
-        # never be reached by the join (the paper's 77% invisible mass).
-        self._transfers_by_key: Dict[Tuple[int, str], List[TransferRecord]] = {}
-        for t in transfers:
-            if t.jeditaskid:
-                self._transfers_by_key.setdefault((t.jeditaskid, t.lfn), []).append(t)
-
-    def files_for_job(self, job: JobRecord) -> List[FileRecord]:
-        return self._files_by_job.get((job.pandaid, job.jeditaskid), [])
-
-    def candidates_for_job(self, job: JobRecord) -> List[TransferRecord]:
-        """T'_j: transfers attribute-matching any of the job's files.
-
-        Attribute equality covers lfn (via the index key), dataset,
-        proddblock, scope, and file_size, exactly as Algorithm 1 lists.
-        """
-        out: List[TransferRecord] = []
-        seen: Set[int] = set()
-        for f in self.files_for_job(job):
-            for t in self._transfers_by_key.get((job.jeditaskid, f.lfn), []):
-                if t.row_id in seen:
-                    continue
-                if (
-                    t.dataset == f.dataset
-                    and t.proddblock == f.proddblock
-                    and t.scope == f.scope
-                    and t.file_size == f.file_size
-                ):
-                    seen.add(t.row_id)
-                    out.append(t)
-        return out
-
-    def scored_candidates_for_job(
-        self, job: JobRecord
-    ) -> List[Tuple[TransferRecord, float]]:
-        """The size-relaxed join for scored matchers (RM3).
-
-        Attribute equality *except* ``file_size``: degradation records
-        sizes imprecisely (§4.3), so requiring byte equality silently
-        drops true pairs at the join.  Each candidate carries its
-        relative size mismatch ``|t - f| / max(f, 1)`` against the file
-        row that produced it; when several file rows reach the same
-        transfer, the first in enumeration order wins (the same
-        first-occurrence rule as the dedup above, mirrored exactly by
-        the columnar join).
-        """
-        out: List[Tuple[TransferRecord, float]] = []
-        seen: Set[int] = set()
-        for f in self.files_for_job(job):
-            for t in self._transfers_by_key.get((job.jeditaskid, f.lfn), []):
-                if t.row_id in seen:
-                    continue
-                if (
-                    t.dataset == f.dataset
-                    and t.proddblock == f.proddblock
-                    and t.scope == f.scope
-                ):
-                    seen.add(t.row_id)
-                    rel = float(abs(t.file_size - f.file_size)) / float(
-                        max(f.file_size, 1)
-                    )
-                    out.append((t, rel))
-        return out
 
 
 class BaseMatcher:
@@ -288,8 +183,8 @@ class BaseMatcher:
     use_size_check = True
 
     #: Scored matchers (RM3) set this to join without file-size
-    #: equality; ``run`` then feeds (candidate, size mismatch) pairs
-    #: through ``match_job_scored`` instead of ``match_job``.
+    #: equality; their decision is ``match_job_scored`` over
+    #: (candidate, size mismatch) pairs instead of ``match_job``.
     size_tolerant_join = False
 
     def match_job(self, job: JobRecord, candidates: List[TransferRecord]) -> List[TransferRecord]:
@@ -308,7 +203,7 @@ class BaseMatcher:
         The default applies the whole-set size rule; matchers that make
         a different set-level choice (e.g. subset selection) override
         this instead of :meth:`match_job`, which also lets the columnar
-        engine reuse its vectorized time/site filters for them.
+        kernels reuse their vectorized time/site filters for them.
         """
         if not kept:
             return []
@@ -317,28 +212,3 @@ class BaseMatcher:
             if not self.size_ok(total, job):
                 return []
         return kept
-
-    # -- driving the whole window -------------------------------------------------
-
-    def run(
-        self,
-        jobs: Sequence[JobRecord],
-        index: CandidateIndex,
-        n_transfers_considered: int,
-    ) -> MatchResult:
-        matches: List[JobMatch] = []
-        for job in jobs:
-            if self.size_tolerant_join:
-                pairs = index.scored_candidates_for_job(job)
-                kept = self.match_job_scored(job, pairs) if pairs else []
-            else:
-                candidates = index.candidates_for_job(job)
-                kept = self.match_job(job, candidates) if candidates else []
-            if kept:
-                matches.append(JobMatch(job=job, transfers=kept))
-        return MatchResult(
-            method=self.name,
-            matches=matches,
-            n_jobs_considered=len(jobs),
-            n_transfers_considered=n_transfers_considered,
-        )

@@ -13,7 +13,7 @@ For each job J_j:
        problem of subset selection";
    (3) downloads land at the computing site; uploads leave from it.
 
-Steps 1-2 live in :class:`~repro.core.matching.base.CandidateIndex`;
+Steps 1-2 live in :class:`~repro.columnar.engine.ColumnarIndex`;
 this class supplies the strict final filter.
 """
 

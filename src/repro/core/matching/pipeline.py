@@ -11,7 +11,7 @@ Since the plan/execute refactor the pipeline is a thin façade over
 :class:`~repro.exec.plan.WindowPlan`, materializes it through a shared
 :class:`~repro.exec.artifacts.ArtifactCache` (so repeated runs, window
 sweeps, and multi-method analyses reuse one pre-selection and one
-:class:`~repro.core.matching.base.CandidateIndex`), and hands
+:class:`~repro.columnar.engine.ColumnarIndex`), and hands
 scheduling to an :class:`~repro.exec.executor.Executor` — serial by
 default, process-parallel when the caller passes one.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
-from repro.columnar import validate_engine
 from repro.core.matching.base import BaseMatcher, MatchingReport
 from repro.exec.artifacts import ArtifactCache, WindowArtifacts
 from repro.exec.executor import Executor, SerialExecutor
@@ -50,10 +49,6 @@ class MatchingPipeline:
     executor:
         Default scheduling policy for :meth:`run` / :meth:`sweep`; a
         :class:`SerialExecutor` over ``cache`` when omitted.
-    engine:
-        Join engine — ``"row"`` (dict join + Python loops) or
-        ``"columnar"`` (interned packs + vectorized kernels, the
-        default).  Output is bit-identical either way.
     obs:
         Observability bundle (:class:`~repro.obs.Obs`).  When given it
         is installed as the ambient context for the duration of every
@@ -70,20 +65,14 @@ class MatchingPipeline:
         user_jobs_only: bool = True,
         cache: Optional[ArtifactCache] = None,
         executor: Optional[Executor] = None,
-        engine: Optional[str] = None,
         obs: Optional[Obs] = None,
     ) -> None:
         self.source = source
         self.known_sites = known_sites or set()
         self.user_jobs_only = user_jobs_only
-        self.engine = validate_engine(engine) if engine is not None else None
         self.obs = obs
-        self.cache = cache if cache is not None else ArtifactCache(source, engine=engine)
-        self.executor = (
-            executor
-            if executor is not None
-            else SerialExecutor(cache=self.cache, engine=engine)
-        )
+        self.cache = cache if cache is not None else ArtifactCache(source)
+        self.executor = executor if executor is not None else SerialExecutor(cache=self.cache)
 
     # -- planning / materialization (the common-time-window step of §4.2) --------
 
@@ -118,18 +107,14 @@ class MatchingPipeline:
         t1: float,
         matchers: Optional[Sequence[BaseMatcher]] = None,
         executor: Optional[Executor] = None,
-        engine: Optional[str] = None,
     ) -> MatchingReport:
-        return self.sweep(
-            [self.plan(t0, t1)], matchers=matchers, executor=executor, engine=engine
-        )[0]
+        return self.sweep([self.plan(t0, t1)], matchers=matchers, executor=executor)[0]
 
     def sweep(
         self,
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         executor: Optional[Executor] = None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         """Execute many plans through the (possibly parallel) executor."""
         ex = executor if executor is not None else self.executor
@@ -142,5 +127,4 @@ class MatchingPipeline:
                     plans,
                     matchers=matchers,
                     known_sites=self.known_sites,
-                    engine=engine or self.engine,
                 )

@@ -54,13 +54,13 @@ Bit-identity discipline: the columnar kernel
 this reference exactly, so the score uses only IEEE-deterministic
 float64 operations (+, -, *, /, abs, comparisons — no
 transcendentals), the product is associated ``(f_time * f_site) *
-f_size`` in both engines, and integer operands are explicitly
+f_size`` in the kernel and the hooks, and integer operands are explicitly
 converted to float *before* dividing — Python's int/int true division
 rounds the exact rational, which can differ from NumPy's
 convert-then-divide beyond 2**53.  The per-candidate ``rel`` follows
 the join's first-occurrence dedup: when several file rows reach the
 same transfer, the file row that enumerates first (insertion order —
-identical in both engines) defines the mismatch.
+identical in the kernel and the reference join) defines the mismatch.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class RM3Matcher(RM2Matcher):
     """Scored matcher: time-proximity x site-prior x size-tolerance."""
 
     name = "rm3"
-    #: Selects the size-relaxed candidate join (and the scored
-    #: ``match_job_scored`` template path in ``BaseMatcher.run``).
+    #: Selects the size-relaxed candidate join and the scored
+    #: ``match_job_scored`` decision.
     size_tolerant_join = True
     #: The binary whole-set size rule never applies to RM3.
     use_size_check = False

@@ -20,21 +20,11 @@ A fourth stage rides on the executors:
 persistent pool, sharing each window's matching report inside the
 workers.
 
-Every stage accepts an ``engine`` choice (``"row"`` or ``"columnar"``,
-see :mod:`repro.columnar`); both engines read the same artifacts and
-produce bit-identical reports.  Analyses additionally accept a
-``frame`` choice — the analysis dataplane (row loops vs ``MatchFrame``
-kernels), equally bit-identical.
+Matching runs on the columnar kernels (:mod:`repro.columnar`) and the
+analyses on each result's ``MatchFrame``; the plain-record reference
+both are checked against lives in ``tests/oracle.py``.
 """
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    DEFAULT_FRAME,
-    ENGINES,
-    FRAMES,
-    validate_engine,
-    validate_frame,
-)
 from repro.exec.artifacts import (
     ArtifactCache,
     WindowArtifacts,
@@ -77,11 +67,7 @@ __all__ = [
     "AnalysisSpec",
     "ArtifactCache",
     "DEFAULT_ANALYSES",
-    "DEFAULT_ENGINE",
-    "DEFAULT_FRAME",
-    "ENGINES",
     "Executor",
-    "FRAMES",
     "ParallelExecutor",
     "SerialExecutor",
     "WindowArtifacts",
@@ -94,6 +80,4 @@ __all__ = [
     "match_artifacts",
     "run_analyses",
     "sliding_plans",
-    "validate_engine",
-    "validate_frame",
 ]

@@ -2,23 +2,14 @@
 
 Materializing a :class:`~repro.exec.plan.WindowPlan` is the expensive
 half of the §4.2 workflow: three metastore queries (jobs, transfers,
-and one *batched* file lookup) plus the Algorithm-1 join.  Every
-matcher — Exact, RM1, RM2, subset — only ever reads these artifacts, so
-one materialization serves all methods and every analysis that replays
-the same window.
+and one *batched* file lookup), the window's column packs, and the
+Algorithm-1 join.  Every matcher — Exact, RM1, RM2, RM3, subset — only
+ever reads these artifacts, so one materialization serves all methods
+and every analysis that replays the same window.
 
-Two join engines share the artifacts:
-
-* ``row`` — the dict-based
-  :class:`~repro.core.matching.base.CandidateIndex` plus per-job Python
-  loops (the specification);
-* ``columnar`` — :class:`~repro.columnar.engine.ColumnarIndex`,
-  structure-of-arrays packs with interned strings and vectorized
-  kernels (the default; bit-identical output, property-tested).
-
-Both indexes are built lazily, so an artifacts object only ever pays
-for the engine(s) that actually run over it, and parity tests can run
-both against one pre-selection.
+The join is :class:`~repro.columnar.engine.ColumnarIndex`, built lazily
+on first use over the window's packs.  A matcher whose predicates its
+kernels cannot lower is rejected with ``TypeError``.
 
 :class:`ArtifactCache` memoizes materializations keyed by
 ``(t0, t1, user_jobs_only, source generation)``.  The generation term
@@ -34,20 +25,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    ColumnarIndex,
-    StringInterner,
-    supports_columnar,
-    validate_engine,
-)
+from repro.columnar import ColumnarIndex
 from repro.columnar.packs import WindowColumns
-from repro.core.matching.base import (
-    BaseMatcher,
-    CandidateIndex,
-    MatchingReport,
-    MatchResult,
-)
+from repro.core.matching.base import BaseMatcher, MatchingReport, MatchResult
 from repro.exec.plan import WindowPlan
 from repro.obs import get_obs
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
@@ -74,44 +54,25 @@ class WindowArtifacts:
         jobs: List[JobRecord],
         files: List[FileRecord],
         transfers: List[TransferRecord],
-        engine: Optional[str] = None,
-        interner: Optional[StringInterner] = None,
-        columns: Optional[WindowColumns] = None,
+        columns: WindowColumns,
     ) -> None:
         self.plan = plan
         self.generation = generation
         self.jobs = jobs
         self.files = files
         self.transfers = transfers
-        self.engine = validate_engine(engine or DEFAULT_ENGINE)
-        self.interner = interner
         self.columns = columns
-        self._index: Optional[CandidateIndex] = None
         self._columnar: Optional[ColumnarIndex] = None
-        if columns is not None:
-            self.n_transfers_with_taskid = int(
-                np.count_nonzero(columns.transfers.jeditaskid > 0)
-            )
-        else:
-            self.n_transfers_with_taskid = sum(1 for t in transfers if t.has_jeditaskid)
-
-    @property
-    def index(self) -> CandidateIndex:
-        """The row engine's dict join (built on first use)."""
-        if self._index is None:
-            self._index = CandidateIndex(self.files, self.transfers)
-        return self._index
+        self.n_transfers_with_taskid = int(
+            np.count_nonzero(columns.transfers.jeditaskid > 0)
+        )
 
     @property
     def columnar(self) -> ColumnarIndex:
-        """The columnar engine's packed join (built on first use)."""
+        """The window's packed join (built on first use)."""
         if self._columnar is None:
             self._columnar = ColumnarIndex(
-                self.jobs,
-                self.files,
-                self.transfers,
-                interner=self.interner,
-                columns=self.columns,
+                self.jobs, self.files, self.transfers, columns=self.columns
             )
         return self._columnar
 
@@ -120,79 +81,47 @@ class WindowArtifacts:
         return self.plan.window
 
     @classmethod
-    def materialize(
-        cls, source, plan: WindowPlan, engine: Optional[str] = None
-    ) -> "WindowArtifacts":
-        """Run the pre-selection queries; joins are built lazily per engine.
+    def materialize(cls, source, plan: WindowPlan) -> "WindowArtifacts":
+        """Run the pre-selection queries and lower the window's packs.
 
         Sources exposing ``materialize_window`` (the id-array fast path
-        of :class:`~repro.metastore.opensearch.OpenSearchLike`) hand
-        back pre-lowered column packs alongside the record lists; the
-        columnar join then starts from pure NumPy gathers instead of
-        re-lowering the window's records.  The row engine skips that
-        path — it would pay the full-table lowering for nothing.
+        of :class:`~repro.metastore.opensearch.OpenSearchLike` and
+        :class:`~repro.metastore.packsource.PackSource`) hand back
+        packs cut from their full-table lowering by pure NumPy gathers;
+        any other source gets its window records lowered here, once.
         """
         generation = getattr(source, "generation", 0)
-        chosen = validate_engine(engine or DEFAULT_ENGINE)
         fast = getattr(source, "materialize_window", None)
-        if fast is not None and chosen == "columnar":
+        if fast is not None:
             jobs, files, transfers, columns = fast(plan.t0, plan.t1, plan.user_jobs_only)
-            return cls(
-                plan,
-                generation,
-                jobs,
-                files,
-                transfers,
-                engine=chosen,
-                interner=getattr(source, "interner", None),
-                columns=columns,
-            )
-        if plan.user_jobs_only:
-            jobs = source.user_jobs_completed_in(plan.t0, plan.t1)
         else:
-            jobs = source.jobs_completed_in(plan.t0, plan.t1)
-        transfers = source.transfers_started_in(plan.t0, plan.t1)
-        files = _batched_files(source, [j.pandaid for j in jobs])
-        return cls(
-            plan,
-            generation,
-            jobs,
-            files,
-            transfers,
-            engine=engine,
-            interner=getattr(source, "interner", None),
-        )
+            if plan.user_jobs_only:
+                jobs = source.user_jobs_completed_in(plan.t0, plan.t1)
+            else:
+                jobs = source.jobs_completed_in(plan.t0, plan.t1)
+            transfers = source.transfers_started_in(plan.t0, plan.t1)
+            files = _batched_files(source, [j.pandaid for j in jobs])
+            columns = WindowColumns.lower(
+                jobs, files, transfers, getattr(source, "interner", None)
+            )
+        return cls(plan, generation, jobs, files, transfers, columns)
 
 
-def match_artifacts(
-    matcher: BaseMatcher, artifacts: WindowArtifacts, engine: Optional[str] = None
-) -> MatchResult:
-    """Run one matcher's pure per-job filter over shared artifacts.
+def match_artifacts(matcher: BaseMatcher, artifacts: WindowArtifacts) -> MatchResult:
+    """Run one matcher's filters over shared artifacts.
 
-    ``engine`` overrides the artifacts' default.  A matcher whose
-    predicates the columnar kernels cannot lower (custom ``site_ok``
-    etc.) silently runs on the row engine — correctness always wins.
+    Raises ``TypeError`` when the matcher overrides a predicate hook the
+    columnar kernels cannot lower (custom ``site_ok`` etc.).
     """
-    chosen = validate_engine(engine or artifacts.engine)
     with get_obs().tracer.span("executor.task", cat="executor") as sp:
         sp.set("method", matcher.name)
-        if chosen == "columnar" and supports_columnar(matcher):
-            sp.set("engine", "columnar")
-            return artifacts.columnar.run(
-                matcher, n_transfers_considered=artifacts.n_transfers_with_taskid
-            )
-        sp.set("engine", "row")
-        return matcher.run(
-            artifacts.jobs,
-            artifacts.index,
-            n_transfers_considered=artifacts.n_transfers_with_taskid,
+        return artifacts.columnar.run(
+            matcher, n_transfers_considered=artifacts.n_transfers_with_taskid
         )
 
 
 def build_report(
-    artifacts: WindowArtifacts,
-    matchers: Sequence[BaseMatcher],
-    engine: Optional[str] = None,
+    artifacts: WindowArtifacts, matchers: Sequence[BaseMatcher]
 ) -> MatchingReport:
     """All methods over one materialized window."""
     return MatchingReport(
@@ -200,7 +129,7 @@ def build_report(
         n_jobs=len(artifacts.jobs),
         n_transfers=len(artifacts.transfers),
         n_transfers_with_taskid=artifacts.n_transfers_with_taskid,
-        results={m.name: match_artifacts(m, artifacts, engine) for m in matchers},
+        results={m.name: match_artifacts(m, artifacts) for m in matchers},
     )
 
 
@@ -209,9 +138,7 @@ class ArtifactCache:
 
     A cache is bound to its source; ``get`` keys on the plan plus the
     source's current generation, evicting entries from older
-    generations eagerly (they can never hit again).  The cache's
-    ``engine`` becomes each materialized artifacts' default engine —
-    both joins stay lazily available either way.
+    generations eagerly (they can never hit again).
 
     The cache is thread-safe — the serving layer shares one instance
     across its whole worker pool.  One lock guards the LRU order, the
@@ -223,14 +150,11 @@ class ArtifactCache:
     duplicated work, never divergent state.
     """
 
-    def __init__(
-        self, source, max_entries: int = 32, engine: Optional[str] = None
-    ) -> None:
+    def __init__(self, source, max_entries: int = 32) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.source = source
         self.max_entries = max_entries
-        self.engine = validate_engine(engine or DEFAULT_ENGINE)
         self._entries: "OrderedDict[tuple, WindowArtifacts]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -259,7 +183,7 @@ class ArtifactCache:
             self._evicted(obs, len(stale))
 
         with obs.tracer.span("artifact.materialize", cat="artifact") as sp:
-            artifacts = WindowArtifacts.materialize(self.source, plan, engine=self.engine)
+            artifacts = WindowArtifacts.materialize(self.source, plan)
             sp.set("t0", plan.t0)
             sp.set("t1", plan.t1)
             sp.set("n_jobs", len(artifacts.jobs))

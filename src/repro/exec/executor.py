@@ -17,8 +17,8 @@ per matcher.
 
 The pool itself is *persistent*: a :class:`ParallelExecutor` creates
 its ``ProcessPoolExecutor`` once and reuses it across every
-``execute()``/``map`` call, keyed on ``(source, generation, engine)``
-so worker state can never go stale — re-forking and re-pickling the
+``execute()``/``map`` call, keyed on ``(source, generation)`` so
+worker state can never go stale — re-forking and re-pickling the
 source per call was the dominant cost of sweep workloads.  The pool is
 released by the existing ``close()``/context-manager protocol (and
 defensively by ``__del__``); ``pool_inits`` counts initializations so
@@ -34,7 +34,6 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.columnar import DEFAULT_ENGINE, validate_engine
 from repro.columnar import shm
 from repro.core.matching.base import BaseMatcher, MatchingReport, MatchResult
 from repro.core.matching.exact import ExactMatcher
@@ -98,9 +97,6 @@ class Executor:
     #: degree of parallelism (1 for serial)
     workers: int = 1
 
-    #: join engine for matching tasks (None = DEFAULT_ENGINE)
-    engine: Optional[str] = None
-
     def map(self, fn: Callable, items: Iterable) -> List:
         raise NotImplementedError
 
@@ -110,13 +106,8 @@ class Executor:
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites=None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         raise NotImplementedError
-
-    def _engine(self, engine: Optional[str]) -> str:
-        """Resolve a per-call engine override against the executor default."""
-        return validate_engine(engine or self.engine or DEFAULT_ENGINE)
 
     def close(self) -> None:
         """Release pooled resources (no-op for serial execution)."""
@@ -131,18 +122,15 @@ class Executor:
 class SerialExecutor(Executor):
     """In-process execution against one shared artifact cache."""
 
-    def __init__(
-        self, cache: Optional[ArtifactCache] = None, engine: Optional[str] = None
-    ) -> None:
+    def __init__(self, cache: Optional[ArtifactCache] = None) -> None:
         self.cache = cache
-        self.engine = validate_engine(engine) if engine is not None else None
 
     def map(self, fn: Callable, items: Iterable) -> List:
         return [fn(item) for item in items]
 
     def _cache_for(self, source) -> ArtifactCache:
         if self.cache is None or self.cache.source is not source:
-            self.cache = ArtifactCache(source, engine=self.engine)
+            self.cache = ArtifactCache(source)
         return self.cache
 
     def execute(
@@ -151,16 +139,14 @@ class SerialExecutor(Executor):
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites=None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         matchers = list(matchers) if matchers is not None else default_matchers(known_sites)
-        eng = self._engine(engine)
         cache = self._cache_for(source)
         tracer = get_obs().tracer
         reports = []
         for plan in plans:
             with tracer.span("executor.window", cat="executor") as sp:
-                report = build_report(cache.get(plan), matchers, engine=eng)
+                report = build_report(cache.get(plan), matchers)
                 sp.set("t0", plan.t0)
                 sp.set("t1", plan.t1)
                 sp.set("n_jobs", report.n_jobs)
@@ -179,21 +165,21 @@ class SerialExecutor(Executor):
 _WORKER_CACHE: Optional[ArtifactCache] = None
 
 #: Per-worker memo of whole-window matching reports, keyed by
-#: ``(plan key, matcher names, engine)``.  Analysis fan-out tasks for
+#: ``(plan key, matcher names)``.  Analysis fan-out tasks for
 #: one report share the matching work through this; it lives exactly as
 #: long as the worker process (= the pool), and the pool is keyed on
 #: the source generation, so entries can never go stale.
 _WORKER_REPORTS: dict = {}
 
 
-def _worker_init(source, engine: Optional[str] = None) -> None:
+def _worker_init(source) -> None:
     global _WORKER_CACHE
     if isinstance(source, shm.ArchiveRef):
         # Zero-copy path: the initializer received a pack-archive
         # handle, not a pickled source — attach to the memory-mapped
         # columns instead of deserializing megabytes of records.
         source = shm.attach(source)
-    _WORKER_CACHE = ArtifactCache(source, engine=engine)
+    _WORKER_CACHE = ArtifactCache(source)
     _WORKER_REPORTS.clear()
 
 
@@ -203,16 +189,14 @@ def worker_cache() -> ArtifactCache:
     return _WORKER_CACHE
 
 
-def worker_report(
-    plan: WindowPlan, matchers: Sequence[BaseMatcher], engine: Optional[str]
-) -> MatchingReport:
+def worker_report(plan: WindowPlan, matchers: Sequence[BaseMatcher]) -> MatchingReport:
     """Memoized whole-window report inside one worker process."""
     cache = worker_cache()
     generation = getattr(cache.source, "generation", 0)
-    key = (plan.key(generation), tuple(m.name for m in matchers), engine)
+    key = (plan.key(generation), tuple(m.name for m in matchers))
     report = _WORKER_REPORTS.get(key)
     if report is None:
-        report = build_report(cache.get(plan), matchers, engine=engine)
+        report = build_report(cache.get(plan), matchers)
         _WORKER_REPORTS[key] = report
     return report
 
@@ -274,19 +258,16 @@ class ParallelExecutor(Executor):
         self,
         workers: Optional[int] = None,
         mp_context=None,
-        engine: Optional[str] = None,
         shared_memory: Optional[bool] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers or os.cpu_count() or 1
         self._mp_context = mp_context
-        self.engine = validate_engine(engine) if engine is not None else None
         #: Worker seeding strategy.  ``None`` (auto) spools the source
-        #: to a zero-copy pack archive whenever the engine is columnar
-        #: and the source exposes column packs, falling back to the
-        #: pickled-source initializer otherwise; ``True`` forces the
-        #: attempt, ``False`` forces pickling.
+        #: to a zero-copy pack archive whenever it exposes column packs,
+        #: falling back to the pickled-source initializer otherwise;
+        #: ``True`` forces the attempt, ``False`` forces pickling.
         self.shared_memory = shared_memory
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_key: Optional[tuple] = None
@@ -306,17 +287,15 @@ class ParallelExecutor(Executor):
 
     # -- persistent pool lifecycle -------------------------------------------
 
-    def _source_key(self, source, engine: str) -> tuple:
-        return ("source", source_token(source), getattr(source, "generation", 0), engine)
+    def _source_key(self, source) -> tuple:
+        return ("source", source_token(source), getattr(source, "generation", 0))
 
-    def _shm_wanted(self, source, engine: str) -> bool:
-        if self.shared_memory is False:
-            return False
-        if self.shared_memory:
-            return True
-        return engine == "columnar" and hasattr(source, "column_packs")
+    def _shm_wanted(self, source) -> bool:
+        if self.shared_memory is None:
+            return hasattr(source, "column_packs")
+        return self.shared_memory
 
-    def _init_spec(self, source, engine: str, key: tuple) -> tuple:
+    def _init_spec(self, source, key: tuple) -> tuple:
         """Initializer args for a new pool: an archive ref or the source.
 
         Acquires a refcounted pack archive when shared memory is wanted
@@ -325,7 +304,7 @@ class ParallelExecutor(Executor):
         requirement).
         """
         obs = get_obs()
-        if self._shm_wanted(source, engine):
+        if self._shm_wanted(source):
             try:
                 archive = shm.acquire(source, key)
             except shm.ExportError:
@@ -334,9 +313,9 @@ class ParallelExecutor(Executor):
             else:
                 self._archive_key = key
                 self.seed_mode = "shm"
-                return (shm.ArchiveRef(str(archive.path)), engine)
+                return (shm.ArchiveRef(str(archive.path)),)
         self.seed_mode = "pickle"
-        return (source, engine)
+        return (source,)
 
     def _release_archive(self) -> None:
         if self._archive_key is not None:
@@ -347,8 +326,8 @@ class ParallelExecutor(Executor):
         """The persistent pool for ``key``, (re)created only on key change.
 
         ``key`` captures everything the workers' global state depends
-        on — the source identity token, its data generation, and the
-        engine — so reuse is safe exactly when the key matches.  A bare
+        on — the source identity token and its data generation — so
+        reuse is safe exactly when the key matches.  A bare
         pool (``key[0] == "bare"``) carries no worker state and any
         live pool can serve it.  ``initargs_for`` is invoked only when
         a pool is actually created, so archive exports happen once per
@@ -423,21 +402,18 @@ class ParallelExecutor(Executor):
             sp.set("workers", self.workers)
             return list(pool.map(fn, items))
 
-    def map_with_source(
-        self, fn: Callable, items: Iterable, source, engine: Optional[str] = None
-    ) -> List:
+    def map_with_source(self, fn: Callable, items: Iterable, source) -> List:
         """Parallel map whose tasks read the per-worker source state.
 
-        Ensures the pool's workers were initialized for ``source`` (and
-        ``engine``), exactly like :meth:`execute` — the entry point the
-        analysis fan-out (:mod:`repro.exec.analysis`) builds on.
+        Ensures the pool's workers were initialized for ``source``,
+        exactly like :meth:`execute` — the entry point the analysis
+        fan-out (:mod:`repro.exec.analysis`) builds on.
         """
         items = list(items)
         if not items:
             return []
-        eng = self._engine(engine)
-        key = self._source_key(source, eng)
-        pool = self._pool_for(key, initargs_for=lambda: self._init_spec(source, eng, key))
+        key = self._source_key(source)
+        pool = self._pool_for(key, initargs_for=lambda: self._init_spec(source, key))
         with get_obs().tracer.span("executor.map", cat="executor") as sp:
             sp.set("n_items", len(items))
             sp.set("workers", self.workers)
@@ -449,13 +425,11 @@ class ParallelExecutor(Executor):
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites=None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         matchers = list(matchers) if matchers is not None else default_matchers(known_sites)
         plans = list(plans)
-        eng = self._engine(engine)
         if not plans or not matchers:
-            return SerialExecutor(engine=eng).execute(source, plans, matchers)
+            return SerialExecutor().execute(source, plans, matchers)
 
         tasks = [(plan, matcher) for plan in plans for matcher in matchers]
         if len(plans) >= self.workers:
@@ -466,8 +440,8 @@ class ParallelExecutor(Executor):
             # Few plans, many matchers: matcher-level parallelism wins
             # even though several workers materialize the same window.
             chunksize = 1
-        key = self._source_key(source, eng)
-        pool = self._pool_for(key, initargs_for=lambda: self._init_spec(source, eng, key))
+        key = self._source_key(source)
+        pool = self._pool_for(key, initargs_for=lambda: self._init_spec(source, key))
         with get_obs().tracer.span("executor.map", cat="executor") as sp:
             sp.set("n_tasks", len(tasks))
             sp.set("workers", self.workers)
@@ -493,12 +467,9 @@ class ParallelExecutor(Executor):
 
 
 def make_executor(
-    workers: Optional[int] = None,
-    engine: Optional[str] = None,
-    shared_memory: Optional[bool] = None,
+    workers: Optional[int] = None, shared_memory: Optional[bool] = None
 ) -> Executor:
-    """``--workers``/``--engine`` plumbing: 0/1/None → serial, N>1 → N
-    processes; ``engine`` picks the join implementation either way."""
+    """``--workers`` plumbing: 0/1/None → serial, N>1 → N processes."""
     if workers is None or workers <= 1:
-        return SerialExecutor(engine=engine)
-    return ParallelExecutor(workers=workers, engine=engine, shared_memory=shared_memory)
+        return SerialExecutor()
+    return ParallelExecutor(workers=workers, shared_memory=shared_memory)

@@ -73,7 +73,7 @@ class OpenSearchLike:
         self.transfers: Collection = self.store.create(
             "transfers", self.TRANSFER_FIELDS, policy=policies.get("transfers")
         )
-        #: Shared dictionary encoding for the columnar engine.  Warmed
+        #: Shared dictionary encoding for the columnar kernels.  Warmed
         #: once at ingest (see :meth:`warm_interner`), so every window
         #: lowering afterwards reuses stable codes instead of growing a
         #: private vocabulary per window.

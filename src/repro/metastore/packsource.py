@@ -20,8 +20,8 @@ Three pieces make it scale:
   and appends land in the tail shard without re-sorting history;
 * **lazy record views** — :class:`LazyRecords` sequences that build a
   record from the arrays on ``__getitem__`` and cache it, so repeated
-  access returns the identical object (the row engine's identity
-  assumptions hold).
+  access returns the identical object (record identity holds across
+  repeated reads).
 
 Every array here may be a read-only ``np.memmap`` — this is exactly the
 object executor workers reconstruct when they attach to a spooled pack

@@ -29,7 +29,7 @@ EXPERIMENT_ORDER = [
     "fig11_case_failed",
     "fig12_case_redundant",
     "matching_quality",
-    "matching_scaling",
+    "matching_sweep_executor",
     "ablation_coopt",
     "ablation_idds",
 ]

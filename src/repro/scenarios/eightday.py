@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.columnar import validate_frame
 from repro.core.matching.pipeline import MatchingPipeline, MatchingReport
 from repro.exec.analysis import DEFAULT_ANALYSES, run_analyses
 from repro.exec.executor import Executor, make_executor
@@ -63,11 +62,6 @@ class EightDayConfig:
 class EightDayStudy:
     """End-to-end §5 reproduction: simulate → degrade → query → match.
 
-    ``engine`` selects the matching join implementation (``"row"`` or
-    ``"columnar"``) and ``frame`` the analysis dataplane (row loops vs
-    ``MatchFrame`` kernels); reports and analyses are bit-identical
-    either way, so both are pure performance knobs.
-
     ``obs`` threads an observability bundle through every study phase:
     simulation, ingest, matching, analyses, and stream replay each run
     under ``use_obs(self.obs)`` with a ``cat="study"`` span around
@@ -78,14 +72,10 @@ class EightDayStudy:
     def __init__(
         self,
         config: Optional[EightDayConfig] = None,
-        engine: Optional[str] = None,
-        frame: Optional[str] = None,
         obs: Optional[Obs] = None,
         shard_seconds: Optional[float] = None,
     ) -> None:
         self.config = config or EightDayConfig()
-        self.engine = engine
-        self.frame = validate_frame(frame) if frame is not None else None
         self.obs = obs
         self.shard_seconds = shard_seconds
         self.harness = SimulationHarness(self.config.harness_config())
@@ -126,7 +116,6 @@ class EightDayStudy:
             self._pipeline = MatchingPipeline(
                 self.source,
                 known_sites=self.harness.known_site_names(),
-                engine=self.engine,
                 obs=self.obs,
             )
         return self._pipeline
@@ -135,14 +124,12 @@ class EightDayStudy:
         self,
         workers: Optional[int] = None,
         executor: Optional[Executor] = None,
-        engine: Optional[str] = None,
         matchers: Optional[Sequence] = None,
     ) -> MatchingReport:
         """The method-ladder comparison over the full window.
 
         ``workers`` (or an explicit ``executor``) fans the methods
-        across processes; ``engine`` overrides the study's join engine.
-        Serial/parallel and row/columnar runs all produce identical
+        across processes.  Serial and parallel runs produce identical
         reports, so the cache does not distinguish them.  ``matchers``
         overrides the default Exact/RM1/RM2 ladder (e.g. adding RM3 at
         a chosen threshold); only the default ladder's report is
@@ -158,9 +145,7 @@ class EightDayStudy:
             with use_obs(self.obs) as obs:
                 with obs.tracer.span("study.match", cat="study") as sp:
                     sp.set("workers", ex.workers)
-                    report = self.pipeline.run(
-                        t0, t1, matchers=matchers, executor=ex, engine=engine
-                    )
+                    report = self.pipeline.run(t0, t1, matchers=matchers, executor=ex)
         finally:
             if executor is None:
                 ex.close()
@@ -206,16 +191,12 @@ class EightDayStudy:
         specs: Sequence = DEFAULT_ANALYSES,
         workers: Optional[int] = None,
         executor: Optional[Executor] = None,
-        engine: Optional[str] = None,
-        frame: Optional[str] = None,
     ) -> Dict[str, object]:
         """The §5 analysis batch over the full window.
 
         Fans one task per spec across the executor's persistent pool
         when parallel (see :func:`repro.exec.analysis.run_analyses`);
-        ``frame`` overrides the study's analysis dataplane.  Results
-        are bit-identical across every (workers, engine, frame)
-        combination.
+        results are bit-identical for any worker count.
         """
         specs = list(specs)
         t0, t1 = self.harness.window
@@ -231,8 +212,6 @@ class EightDayStudy:
                         specs,
                         known_sites=self.harness.known_site_names(),
                         executor=ex,
-                        engine=engine or self.engine,
-                        frame=frame if frame is not None else self.frame,
                     )
         finally:
             if executor is None:

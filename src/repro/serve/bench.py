@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.columnar import DEFAULT_ENGINE
 from repro.scenarios.eightday import EightDayConfig, EightDayStudy
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.loadgen import LoadSpec, RunStats, Workload, run_workload
@@ -105,7 +104,6 @@ class BenchConfig:
     long_fraction: float = 0.1
     dashboard_windows: int = 4
     verify_every: int = 37
-    engine: str = DEFAULT_ENGINE
     memo_entries: int = 512
     #: ingest a generation-bumping batch mid-run at this ladder index
     ingest_level: int = 0
@@ -153,7 +151,6 @@ async def _run_ladder(config: BenchConfig, study: EightDayStudy) -> dict:
                     queue_depth=config.queue_depth,
                 ),
                 memo_entries=config.memo_entries,
-                engine=config.engine,
                 verify_every=config.verify_every,
             ),
         )
@@ -197,8 +194,7 @@ def run_serve_bench(config: Optional[BenchConfig] = None) -> dict:
     """Build the study data, run the ladder, return the results dict."""
     config = config or BenchConfig()
     study = EightDayStudy(
-        EightDayConfig(seed=config.seed, days=config.days, intensity=config.intensity),
-        engine=config.engine,
+        EightDayConfig(seed=config.seed, days=config.days, intensity=config.intensity)
     ).run()
     results = asyncio.run(_run_ladder(config, study))
     results["config"] = {
@@ -214,7 +210,6 @@ def run_serve_bench(config: Optional[BenchConfig] = None) -> dict:
         "duration_s": config.duration,
         "long_fraction": config.long_fraction,
         "verify_every": config.verify_every,
-        "engine": config.engine,
     }
     return results
 

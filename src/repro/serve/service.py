@@ -51,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.columnar import DEFAULT_ENGINE, DEFAULT_FRAME, validate_engine, validate_frame
 from repro.exec.analysis import ANALYSIS_NAMES, AnalysisSpec, analyze_report
 from repro.exec.artifacts import ArtifactCache, WindowArtifacts, build_report
 from repro.exec.executor import ParallelExecutor, default_matchers
@@ -121,9 +120,9 @@ class MatchQuery:
     methods: Tuple[str, ...] = DEFAULT_METHODS
     user_jobs_only: bool = True
 
-    def key(self, generation: int, engine: str, frame: str) -> tuple:
+    def key(self, generation: int) -> tuple:
         return (generation, "match", self.t0, self.t1, self.user_jobs_only,
-                self.methods, engine)
+                self.methods)
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,9 @@ class AnalysisQuery:
                 f"unknown analysis {self.spec!r} (known: {', '.join(ANALYSIS_NAMES)})"
             )
 
-    def key(self, generation: int, engine: str, frame: str) -> tuple:
+    def key(self, generation: int) -> tuple:
         return (generation, "analysis", self.t0, self.t1, self.user_jobs_only,
-                self.spec, self.method, engine, frame)
+                self.spec, self.method)
 
     def match_query(self) -> MatchQuery:
         """The match report this analysis reads (memo-shared)."""
@@ -246,17 +245,12 @@ class ServeConfig:
     memo_entries: int = 512
     #: window-artifact cache capacity
     cache_entries: int = 32
-    #: matching join engine / analysis dataplane
-    engine: str = DEFAULT_ENGINE
-    frame: str = DEFAULT_FRAME
     #: recompute every Nth completed request directly and compare (0 = off)
     verify_every: int = 0
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.engine = validate_engine(self.engine)
-        self.frame = validate_frame(self.frame)
 
 
 class MatchService:
@@ -283,9 +277,7 @@ class MatchService:
         self.config = config or ServeConfig()
         self.executor = executor
         self.stream = stream
-        self.cache = ArtifactCache(
-            source, max_entries=self.config.cache_entries, engine=self.config.engine
-        )
+        self.cache = ArtifactCache(source, max_entries=self.config.cache_entries)
         self.memo = ResultMemo(max_entries=self.config.memo_entries)
         self.rwlock = RWLock()
         self.admission = AdmissionController(clock=clock)
@@ -361,7 +353,7 @@ class MatchService:
     def _compute(self, query) -> Tuple[object, int, bool]:
         with self.rwlock.read():
             generation = getattr(self.source, "generation", 0)
-            key = query.key(generation, self.config.engine, self.config.frame)
+            key = query.key(generation)
             value, cached = self.memo.get_or_compute(
                 key, lambda: self._execute(query)
             )
@@ -394,46 +386,30 @@ class MatchService:
         if isinstance(query, MatchQuery):
             if self.executor is not None:
                 return self.executor.execute(
-                    self.source, [plan],
-                    matchers=self._matchers(query.methods),
-                    engine=self.config.engine,
+                    self.source, [plan], matchers=self._matchers(query.methods)
                 )[0]
-            artifacts = self.cache.get(plan)
-            return build_report(
-                artifacts, self._matchers(query.methods), engine=self.config.engine
-            )
+            return build_report(self.cache.get(plan), self._matchers(query.methods))
         # Analysis: share the window's full match report through the
         # memo (the same entry a MatchQuery for this window would use),
         # then run just the requested spec over it.
         mq = query.match_query()
         generation = getattr(self.source, "generation", 0)
         report, _ = self.memo.get_or_compute(
-            mq.key(generation, self.config.engine, self.config.frame),
-            lambda: self._execute(mq),
+            mq.key(generation), lambda: self._execute(mq)
         )
         artifacts = self.cache.get(plan)
-        return analyze_report(
-            report, artifacts, [self._spec(query)], frame=self.config.frame
-        )[query.spec]
+        return analyze_report(report, artifacts, [self._spec(query)])[query.spec]
 
     # -- verification ----------------------------------------------------------
 
     def _direct(self, query):
         """Ground-truth recompute: no artifact cache, no memo, no pool."""
         plan = WindowPlan(query.t0, query.t1, query.user_jobs_only)
-        artifacts = WindowArtifacts.materialize(
-            self.source, plan, engine=self.config.engine
-        )
+        artifacts = WindowArtifacts.materialize(self.source, plan)
         if isinstance(query, MatchQuery):
-            return build_report(
-                artifacts, self._matchers(query.methods), engine=self.config.engine
-            )
-        report = build_report(
-            artifacts, self._matchers(DEFAULT_METHODS), engine=self.config.engine
-        )
-        return analyze_report(
-            report, artifacts, [self._spec(query)], frame=self.config.frame
-        )[query.spec]
+            return build_report(artifacts, self._matchers(query.methods))
+        report = build_report(artifacts, self._matchers(DEFAULT_METHODS))
+        return analyze_report(report, artifacts, [self._spec(query)])[query.spec]
 
     def _verify(self, query, value) -> None:
         direct = self._direct(query)

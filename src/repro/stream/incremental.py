@@ -23,7 +23,7 @@ How parity survives arbitrary delivery orders and batch sizes:
   closed jobs (sequence order), their file rows (per-job snapshot
   order), and the sequence-sorted union of their key-matching
   transfers, cut from the full-table packs — the same kernels as the
-  batch engine, over the same per-job candidate enumeration order;
+  batch pipeline, over the same per-job candidate enumeration order;
 * final results re-assemble each method's accumulated matches in job
   sequence order, which is exactly the batch window's job order.
 """
@@ -118,8 +118,8 @@ class IncrementalMatcher:
         for m in self.matchers:
             if not supports_columnar(m):
                 raise TypeError(
-                    f"matcher {m.name!r} cannot run on the columnar kernels; "
-                    "the incremental engine has no row fallback"
+                    f"matcher {m.name!r} ({type(m).__name__}) overrides "
+                    "predicate hooks the columnar kernels cannot lower"
                 )
         self.source = source if source is not None else OpenSearchLike()
         self.user_jobs_only = user_jobs_only
@@ -183,12 +183,11 @@ class IncrementalMatcher:
 
         times: List[float] = []
         for i, (seq, t) in enumerate(transfers):
-            if t.jeditaskid:  # truthiness, like the row engine's join
+            if t.jeditaskid > 0:  # joinable, and the has_jeditaskid count
                 insort(
                     self._tkey.setdefault((t.jeditaskid, t.lfn), []),
                     (seq, transfer_base + i),
                 )
-            if t.jeditaskid > 0:  # the reported has_jeditaskid count
                 self.n_transfers_with_taskid += 1
             self.n_transfers += 1
             times.append(t.starttime)
@@ -203,8 +202,8 @@ class IncrementalMatcher:
         together: jobs in sequence order, their files in per-job
         snapshot order, and the seq-sorted union of transfers sharing a
         (jeditaskid, lfn) key with any of their files — a superset cut
-        that preserves the batch engine's candidate enumeration order
-        exactly, so the kernels produce the batch engine's matches.
+        that preserves the batch join's candidate enumeration order
+        exactly, so the kernels produce the batch pipeline's matches.
         """
         ready: List[int] = []
         while self._heap and self._heap[0][0] <= watermark:

@@ -15,7 +15,7 @@ producers feed it:
 Every event carries a per-kind sequence number assigned in *snapshot /
 arrival* order.  That sequence is the parity anchor: the incremental
 matcher keys all of its internal ordering on it, so replaying events in
-any delivery order reproduces the batch engine's ingestion-order
+any delivery order reproduces the batch pipeline's ingestion-order
 semantics exactly (see DESIGN.md §9).
 """
 

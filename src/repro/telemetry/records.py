@@ -11,8 +11,8 @@ identifier**, which is the entire reason the matching problem exists.
 All three record types are ``slots=True`` dataclasses: at
 millions-of-rows scale the per-record ``__dict__`` dominates both the
 resident size of a window and the cost of pickling record batches to
-executor workers, and slot access is what the row engine's per-candidate
-loops and the columnar engine's lowering spend most of their time on.
+executor workers, and slot access is what the matcher hooks' per-candidate
+loops and the columnar lowering spend most of their time on.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.columnar import ColumnarIndex
-from repro.core.matching.base import CandidateIndex
 from repro.scenarios.eightday import EightDayConfig, EightDayStudy
 from repro.scenarios.runtime import HarnessConfig, SimulationHarness
 from repro.workload.generator import WorkloadConfig
@@ -18,13 +17,12 @@ from repro.workload.generator import WorkloadConfig
 
 @pytest.fixture(autouse=True)
 def _reset_index_build_counts():
-    """Zero the join-build counters before every test.
+    """Zero the join-build counter before every test.
 
     Cache-hit assertions (e.g. in ``tests/test_exec.py``) count builds
-    via these process-wide class counters; without the reset their
+    via this process-wide class counter; without the reset their
     baseline depends on which tests ran earlier in the session.
     """
-    CandidateIndex.build_count = 0
     ColumnarIndex.build_count = 0
     yield
 

@@ -1,11 +1,12 @@
-"""Parity tests for the analysis dataplane (``--frame row|columnar``).
+"""Parity tests for the analysis dataplane.
 
-The contract mirrors the matching-engine one: for any window —
-including degraded ones — every vectorized analysis over the
+The contract mirrors the matching one: for any window — including
+degraded ones — every vectorized analysis over the
 :class:`~repro.columnar.frame.MatchFrame` must return **bit-identical**
-output to the reference per-record loops, for every matching method,
-on results produced by either join engine.  Floats are compared with
-``==``, never with tolerances.
+output to the per-record reference loops in ``tests/oracle.py``, for
+every matching method, on results from the production kernels and from
+the oracle join alike.  Floats are compared with ``==``, never with
+tolerances.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.columnar import DEFAULT_FRAME, FRAMES, validate_frame
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.queuing import (
     correlation_size_vs_time,
@@ -22,7 +22,6 @@ from repro.core.analysis.queuing import (
     mean_transfer_pct,
     timing_table,
     timings_for_result,
-    top_jobs_breakdown,
 )
 from repro.core.analysis.sites import build_dashboards
 from repro.core.analysis.summary import (
@@ -38,19 +37,21 @@ from repro.exec import (
     ParallelExecutor,
     SerialExecutor,
     WindowPlan,
+    default_matchers,
     run_analyses,
 )
 from repro.telemetry.records import UNKNOWN_SITE
 
+from tests import oracle
 from tests.test_columnar import KNOWN, _ingest, degraded_windows
 
 PLAN = WindowPlan(0.0, 10_000.0)
 
 
 def _reports(source):
-    """One report per join engine, over the same window."""
-    col = SerialExecutor(engine="columnar").execute(source, [PLAN], known_sites=KNOWN)[0]
-    row = SerialExecutor(engine="row").execute(source, [PLAN], known_sites=KNOWN)[0]
+    """The production report and the oracle's, over the same window."""
+    col = SerialExecutor().execute(source, [PLAN], known_sites=KNOWN)[0]
+    row = oracle.build_report(source, PLAN, default_matchers(KNOWN))
     return {"columnar": col, "row": row}
 
 
@@ -79,21 +80,11 @@ def assert_frames_equal(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-class TestFrameSelection:
-    def test_validate_frame(self):
-        assert set(FRAMES) == {"row", "columnar"}
-        assert DEFAULT_FRAME in FRAMES
-        for f in FRAMES:
-            assert validate_frame(f) == f
-        with pytest.raises(ValueError):
-            validate_frame("arrow")
-
-
 class TestFrameBuilders:
     @given(degraded_windows())
     @settings(max_examples=30, deadline=None)
     def test_engine_frame_matches_row_lowering(self, window):
-        """from_candidates (engine-attached) == from_matches (fallback)."""
+        """from_candidates (kernel-attached) == from_matches (oracle lists)."""
         reports = _reports(_ingest(*window))
         for method in reports["columnar"].methods:
             eager = reports["columnar"][method].frame()
@@ -112,13 +103,13 @@ class TestFrameBuilders:
     @given(degraded_windows())
     @settings(max_examples=20, deadline=None)
     def test_frame_summaries_match_result(self, window):
-        """Frame-level counts == the MatchResult reference methods."""
+        """Frame-level counts == the oracle's per-match loops."""
         for result in _reports(_ingest(*window))["columnar"].results.values():
             frame = result.frame()
             assert len(frame) == result.n_matched_jobs
             assert frame.n_matched_transfers == result.n_matched_transfers
-            assert frame.local_remote_split() == result.local_remote_split()
-            assert frame.jobs_by_class() == result.jobs_by_class()
+            assert frame.local_remote_split() == oracle.local_remote_split(result)
+            assert frame.jobs_by_class() == oracle.jobs_by_class(result)
 
 
 class TestTimingParity:
@@ -128,8 +119,8 @@ class TestTimingParity:
         for report in _reports(_ingest(*window)).values():
             for method in report.methods:
                 result = report[method]
-                row = timings_for_result(result, frame="row")
-                col = timings_for_result(result, frame="columnar")
+                row = oracle.timings(result)
+                col = timings_for_result(result)
                 assert col == row  # frozen dataclasses: exact floats
 
     @given(degraded_windows())
@@ -137,7 +128,7 @@ class TestTimingParity:
     def test_aggregates_bit_identical(self, window):
         for report in _reports(_ingest(*window)).values():
             result = report["exact"]
-            row = timings_for_result(result, frame="row")
+            row = oracle.timings(result)
             table = timing_table(result)
             assert mean_transfer_pct(table) == mean_transfer_pct(row)
             assert geomean_transfer_pct(table) == geomean_transfer_pct(row)
@@ -149,10 +140,10 @@ class TestTimingParity:
         for report in _reports(_ingest(*window)).values():
             for method in report.methods:
                 result = report[method]
-                row = timings_for_result(result, frame="row")
+                row = oracle.timings(result)
                 table = timing_table(result)
                 for locality in ("local", "remote"):
-                    assert table.top_jobs(locality, top=5) == top_jobs_breakdown(
+                    assert table.top_jobs(locality, top=5) == oracle.top_jobs_breakdown(
                         row, locality, top=5
                     )
 
@@ -164,8 +155,8 @@ class TestThresholdParity:
         for report in _reports(_ingest(*window)).values():
             for method in report.methods:
                 result = report[method]
-                row = threshold_sweep_result(result, frame="row")
-                col = threshold_sweep_result(result, frame="columnar")
+                row = oracle.threshold_sweep(oracle.timings(result))
+                col = threshold_sweep_result(result)
                 assert col.thresholds == row.thresholds
                 assert col.n_jobs == row.n_jobs
                 for combo in StatusCombo:
@@ -177,21 +168,17 @@ class TestSummaryParity:
     @settings(max_examples=25, deadline=None)
     def test_headline_and_method_tables(self, window):
         for report in _reports(_ingest(*window)).values():
-            assert headline_stats(report, frame="columnar") == headline_stats(
-                report, frame="row"
-            )
+            assert headline_stats(report) == oracle.headline_stats(report)
             assert method_comparison_transfers(
-                report, frame="columnar"
-            ) == method_comparison_transfers(report, frame="row")
-            assert method_comparison_jobs(
-                report, frame="columnar"
-            ) == method_comparison_jobs(report, frame="row")
+                report
+            ) == oracle.method_comparison_transfers(report)
+            assert method_comparison_jobs(report) == oracle.method_comparison_jobs(report)
 
     @given(degraded_windows())
     @settings(max_examples=25, deadline=None)
     def test_activity_breakdown_with_columns(self, window):
         source = _ingest(*window)
-        artifacts = ArtifactCache(source, engine="columnar").get(PLAN)
+        artifacts = ArtifactCache(source).get(PLAN)
         reports = _reports(source)
         for report in reports.values():
             result = report["exact"]
@@ -207,7 +194,7 @@ class TestWindowAnalysesParity:
     @settings(max_examples=25, deadline=None)
     def test_site_dashboards(self, window):
         jobs, files, transfers = window
-        artifacts = ArtifactCache(_ingest(*window), engine="columnar").get(PLAN)
+        artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
         fast = build_dashboards(artifacts.jobs, artifacts.transfers, columns=artifacts.columns)
         ref = build_dashboards(artifacts.jobs, artifacts.transfers)
         assert list(fast) == list(ref)  # incl. insertion order
@@ -222,7 +209,7 @@ class TestWindowAnalysesParity:
     @given(degraded_windows())
     @settings(max_examples=25, deadline=None)
     def test_matrix_and_temporal(self, window):
-        artifacts = ArtifactCache(_ingest(*window), engine="columnar").get(PLAN)
+        artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
         names = sorted({*KNOWN, UNKNOWN_SITE})
         fast = build_transfer_matrix(artifacts.transfers, names, columns=artifacts.columns)
         ref = build_transfer_matrix(artifacts.transfers, names)
@@ -237,7 +224,7 @@ class TestWindowAnalysesParity:
 
 
 class TestRunAnalyses:
-    """The fan-out entry point: same numbers serial, parallel, row."""
+    """The fan-out entry point: same numbers serial, parallel, oracle."""
 
     def _assert_batches_equal(self, a, b):
         assert list(a) == list(b)
@@ -260,9 +247,9 @@ class TestRunAnalyses:
         plan = WindowPlan(t0, t1)
         known = small_study.harness.known_site_names()
         col = run_analyses(small_study.source, plan, known_sites=known)
-        row = run_analyses(
-            small_study.source, plan, known_sites=known, engine="row", frame="row"
-        )
+        report = oracle.build_report(small_study.source, plan, default_matchers(known))
+        jobs, _, transfers = oracle.window_records(small_study.source, plan)
+        row = oracle.analyze(report, jobs, transfers, plan)
         self._assert_batches_equal(col, row)
 
     def test_parallel_equals_serial_on_one_pool(self, small_study):

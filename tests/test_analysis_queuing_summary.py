@@ -9,7 +9,6 @@ from repro.core.analysis.queuing import (
     geomean_transfer_pct,
     mean_transfer_pct,
     timings_for_result,
-    top_jobs_breakdown,
 )
 from repro.core.analysis.summary import (
     activity_breakdown,
@@ -20,6 +19,7 @@ from repro.core.analysis.summary import (
 from repro.core.matching.base import JobMatch, TransferClass
 
 from tests.helpers import make_job, make_transfer
+from tests.oracle import top_jobs_breakdown
 
 
 def timing(pct: float, status="finished", taskstatus="finished",

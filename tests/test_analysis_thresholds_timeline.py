@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.analysis.queuing import JobTransferTiming, timings_for_result
-from repro.core.analysis.thresholds import StatusCombo, threshold_sweep
+from repro.core.analysis.queuing import JobTransferTiming
+from repro.core.analysis.thresholds import StatusCombo, threshold_sweep_result
 from repro.core.analysis.timeline import (
     build_timeline,
     find_failed_with_overlap,
@@ -13,6 +13,7 @@ from repro.core.analysis.timeline import (
 from repro.core.matching.base import JobMatch, TransferClass
 
 from tests.helpers import make_job, make_transfer
+from tests.oracle import threshold_sweep
 
 
 def timing(pct, status="finished", taskstatus="finished"):
@@ -74,8 +75,7 @@ class TestThresholdSweep:
 
     def test_study_tail_is_failure_enriched(self, small_report):
         """Fig 9's core finding on simulated data."""
-        ts = timings_for_result(small_report["exact"])
-        sweep = threshold_sweep(ts)
+        sweep = threshold_sweep_result(small_report["exact"])
         assert 0.6 < sweep.success_fraction() < 0.95
         if sweep.tail_total(75) >= 3:
             assert sweep.failure_enrichment(75) > 1.0

@@ -1,10 +1,11 @@
-"""Tests for the columnar engine (``repro.columnar``).
+"""Tests for the columnar matching kernels (``repro.columnar``).
 
-The contract under test is *bit-identical parity*: for any window —
-including degraded ones with missing sites, zero ``jeditaskid``, and
-duplicate LFNs or row ids — the vectorized kernels must return exactly
-the row engine's ``matched_pairs()``, for every stock matcher, whether
-executed serially or across processes.
+The contract under test is *bit-identical parity* with the reference
+join in ``tests/oracle.py``: for any window — including degraded ones
+with missing sites, zero or negative ``jeditaskid``, and duplicate LFNs
+or row ids — the vectorized kernels must return exactly the oracle's
+``matched_pairs()``, for every stock matcher, whether executed serially
+or across processes.
 """
 
 from __future__ import annotations
@@ -14,24 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    ColumnarIndex,
-    StringInterner,
-    supports_columnar,
-    validate_engine,
-)
+from repro.columnar import ColumnarIndex, StringInterner, supports_columnar
 from repro.columnar.packs import WindowColumns
-from repro.core.matching.base import BaseMatcher, CandidateIndex
+from repro.core.analysis.summary import headline_stats
+from repro.core.matching.base import BaseMatcher
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.rm1 import RM1Matcher
 from repro.core.matching.rm2 import RM2Matcher
+from repro.core.matching.pipeline import MatchingPipeline
 from repro.core.matching.subset import SubsetMatcher
-from repro.exec import ParallelExecutor, SerialExecutor, WindowPlan
+from repro.exec import (
+    ArtifactCache,
+    ParallelExecutor,
+    SerialExecutor,
+    WindowPlan,
+    build_report,
+    match_artifacts,
+)
 from repro.metastore.opensearch import OpenSearchLike
 from repro.telemetry.records import UNKNOWN_SITE
 
+from tests import oracle
 from tests.helpers import make_file, make_job, make_transfer, matching_triple
 
 
@@ -96,34 +100,29 @@ class TestPacks:
         assert cols.transfers.take(all_rows) is cols.transfers
 
 
-# -- engine selection -------------------------------------------------------------
+# -- lowering -------------------------------------------------------------------
+
+
+class Weird(BaseMatcher):
+    """A matcher whose site rule the kernels cannot lower."""
+
+    name = "weird"
+
+    def site_ok(self, transfer, job):
+        return True
 
 
 class TestEngineSelection:
-    def test_validate_engine(self):
-        assert set(ENGINES) == {"row", "columnar"}
-        assert DEFAULT_ENGINE in ENGINES
-        for e in ENGINES:
-            assert validate_engine(e) == e
-        with pytest.raises(ValueError):
-            validate_engine("gpu")
-
     def test_stock_matchers_supported(self):
         for m in all_matchers():
             assert supports_columnar(m)
 
     def test_custom_site_ok_not_supported(self):
-        class Weird(BaseMatcher):
-            name = "weird"
-
-            def site_ok(self, transfer, job):
-                return True
-
         assert not supports_columnar(Weird())
 
     def test_run_rejects_unsupported_matcher(self):
-        class Weird(BaseMatcher):
-            name = "weird"
+        class TimeBlind(BaseMatcher):
+            name = "time-blind"
 
             def time_ok(self, transfer, job):
                 return True
@@ -131,18 +130,39 @@ class TestEngineSelection:
         job, files, transfers = matching_triple()
         index = ColumnarIndex([job], files, transfers)
         with pytest.raises(TypeError):
-            index.run(Weird(), n_transfers_considered=0)
+            index.run(TimeBlind(), n_transfers_considered=0)
+
+
+class TestNoSilentFallback:
+    """A matcher the kernels cannot lower is an error on every entry
+    point, never a quiet switch to another implementation."""
+
+    def test_match_artifacts_and_build_report_raise(self):
+        job, files, transfers = matching_triple()
+        artifacts = ArtifactCache(_ingest([job], files, transfers)).get(
+            WindowPlan(0.0, 10_000.0)
+        )
+        with pytest.raises(TypeError, match="weird"):
+            match_artifacts(Weird(), artifacts)
+        with pytest.raises(TypeError, match="weird"):
+            build_report(artifacts, [ExactMatcher(KNOWN), Weird()])
+
+    def test_pipeline_run_raises(self):
+        job, files, transfers = matching_triple()
+        pipeline = MatchingPipeline(_ingest([job], files, transfers), known_sites=KNOWN)
+        with pytest.raises(TypeError, match="weird"):
+            pipeline.run(0.0, 10_000.0, matchers=[Weird()])
 
 
 # -- parity -----------------------------------------------------------------------
 
 
 def assert_engines_agree(jobs, files, transfers):
-    """Row and columnar runs must be indistinguishable, per matcher."""
-    row_index = CandidateIndex(files, transfers)
+    """Kernel and oracle runs must be indistinguishable, per matcher."""
+    row_index = oracle.CandidateIndex(files, transfers)
     col_index = ColumnarIndex(jobs, files, transfers)
     for matcher in all_matchers():
-        row = matcher.run(jobs, row_index, n_transfers_considered=7)
+        row = oracle.run_matcher(matcher, jobs, row_index, n_transfers_considered=7)
         col = col_index.run(matcher, n_transfers_considered=7)
         assert col.matched_pairs() == row.matched_pairs()
         assert col.n_matched_jobs == row.n_matched_jobs
@@ -159,7 +179,7 @@ def assert_engines_agree(jobs, files, transfers):
 
 SITES = st.sampled_from(["SITE-A", "SITE-B", "", UNKNOWN_SITE])
 LFNS = st.sampled_from(["f0", "f1", "f2", "f3"])
-TASKIDS = st.sampled_from([0, 100, 200])
+TASKIDS = st.sampled_from([-7, 0, 100, 200])
 SIZES = st.sampled_from([500, 1000])
 DATASETS = st.sampled_from(["ds", "ds2"])
 
@@ -167,8 +187,8 @@ DATASETS = st.sampled_from(["ds", "ds2"])
 @st.composite
 def degraded_windows(draw):
     """Small windows exercising the nasty cases: jobs with no endtime,
-    zero/foreign task ids, blank and UNKNOWN sites, duplicate LFNs and
-    duplicate transfer row ids."""
+    zero/negative/foreign task ids, blank and UNKNOWN sites, duplicate
+    LFNs and duplicate transfer row ids."""
     jobs, files, transfers = [], [], []
     for i in range(draw(st.integers(1, 4))):
         tid = draw(TASKIDS)
@@ -282,16 +302,15 @@ class TestMaterializeWindowFastPath:
         jobs, files, transfers = window
         source = _ingest(jobs, files, transfers)
         plan = WindowPlan(0.0, 10_000.0)
-        serial = SerialExecutor(engine="columnar").execute(
-            source, [plan], known_sites=KNOWN)[0]
-        row = SerialExecutor(engine="row").execute(
-            source, [plan], known_sites=KNOWN)[0]
-        for m in serial.methods:
+        serial = SerialExecutor().execute(source, [plan], known_sites=KNOWN)[0]
+        row = oracle.build_report(source, plan, all_matchers()[:3])
+        for m in row.methods:
             assert serial[m].matched_pairs() == row[m].matched_pairs()
+        assert serial.n_transfers_with_taskid == row.n_transfers_with_taskid
 
 
 class TestExecutorParity:
-    """Both engines, both executors, one seeded degraded source."""
+    """Both executors and the oracle, one seeded degraded source."""
 
     @given(degraded_windows())
     @settings(max_examples=5, deadline=None)
@@ -299,19 +318,34 @@ class TestExecutorParity:
         jobs, files, transfers = window
         source = _ingest(jobs, files, transfers)
         plans = [WindowPlan(0.0, 2500.0), WindowPlan(0.0, 10_000.0)]
-        baseline = None
-        for engine in ENGINES:
-            serial = SerialExecutor(engine=engine).execute(
-                source, plans, known_sites=KNOWN)
-            parallel = ParallelExecutor(workers=2, engine=engine).execute(
-                source, plans, known_sites=KNOWN)
-            pairs = [
-                {m: rep[m].matched_pairs() for m in rep.methods} for rep in serial
+        matchers = all_matchers()[:3]
+        with ParallelExecutor(workers=2) as ex:
+            runs = [
+                SerialExecutor().execute(source, plans, known_sites=KNOWN),
+                ex.execute(source, plans, known_sites=KNOWN),
+                [oracle.build_report(source, plan, matchers) for plan in plans],
             ]
-            assert pairs == [
-                {m: rep[m].matched_pairs() for m in rep.methods} for rep in parallel
-            ]
-            if baseline is None:
-                baseline = pairs
-            else:
-                assert pairs == baseline
+        pairs = [
+            [{m: rep[m].matched_pairs() for m in rep.methods} for rep in reports]
+            for reports in runs
+        ]
+        assert pairs[0] == pairs[1] == pairs[2]
+
+
+class TestJoinRule:
+    """Only a positive ``jeditaskid`` joins — the rule every
+    ``n_transfers_with_taskid`` denominator already counts by."""
+
+    def test_headline_never_exceeds_the_taskid_denominator(self):
+        job = make_job(jeditaskid=-7, nin=2000)
+        files = [make_file(jeditaskid=-7, lfn=f"f{i}") for i in range(2)]
+        transfers = [
+            make_transfer(row_id=i + 1, lfn=f"f{i}", jeditaskid=-7) for i in range(2)
+        ] + [make_transfer(row_id=3, lfn="f9", jeditaskid=55)]
+        source = _ingest([job], files, transfers)
+        report = MatchingPipeline(source, known_sites=KNOWN).run(0.0, 10_000.0)
+        stats = headline_stats(report)
+        assert stats.n_transfers_with_taskid == 1
+        assert stats.transfer_match_pct <= 100.0
+        for m in report.methods:
+            assert report[m].matched_pairs() == []

@@ -10,12 +10,13 @@ from typing import List
 import numpy as np
 import pytest
 
+from repro.columnar import ColumnarIndex
 from repro.core.analysis.bandwidth import bandwidth_series
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.queuing import timings_for_result
 from repro.core.analysis.summary import activity_breakdown
-from repro.core.analysis.thresholds import threshold_sweep
-from repro.core.matching.base import CandidateIndex, MatchResult
+from repro.core.analysis.thresholds import threshold_sweep_result
+from repro.core.matching.base import MatchResult
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.metastore.opensearch import OpenSearchLike
@@ -27,11 +28,10 @@ from tests.helpers import make_file, make_job, make_transfer
 
 class TestEmptyPopulations:
     def test_empty_matcher_run(self):
-        index = CandidateIndex([], [])
-        res = ExactMatcher().run([], index, 0)
+        res = ColumnarIndex([], [], []).run(ExactMatcher(), 0)
         assert res.n_matched_jobs == 0
         assert res.matched_pairs() == []
-        assert res.local_remote_split() == (0, 0)
+        assert res.frame().local_remote_split() == (0, 0)
 
     def test_empty_activity_breakdown(self):
         res = MatchResult(method="exact", matches=[], n_jobs_considered=0,
@@ -42,7 +42,9 @@ class TestEmptyPopulations:
         assert rows[-1].pct == 0.0
 
     def test_empty_threshold_sweep(self):
-        sweep = threshold_sweep([])
+        res = MatchResult(method="exact", matches=[], n_jobs_considered=0,
+                          n_transfers_considered=0)
+        sweep = threshold_sweep_result(res)
         assert sweep.n_jobs == 0
         assert sweep.success_fraction() == 0.0
         assert sweep.failure_enrichment(75) == 0.0
@@ -110,7 +112,7 @@ class TestMatchingEdges:
         job = make_job(nin=0, nout=0)
         files = [make_file(lfn="f0", size=1000)]
         transfers = [make_transfer(lfn="f0", size=1000)]
-        res = ExactMatcher().run([job], CandidateIndex(files, transfers), 1)
+        res = ColumnarIndex([job], files, transfers).run(ExactMatcher(), 1)
         # the whole-set sum is 1000, equal to neither 0-target
         assert res.n_matched_jobs == 0
 
@@ -118,27 +120,27 @@ class TestMatchingEdges:
         job = make_job(end=2000.0, nin=1000)
         files = [make_file(lfn="f0", size=1000)]
         t = make_transfer(lfn="f0", size=1000, start=2000.0, end=2100.0)
-        res = ExactMatcher().run([job], CandidateIndex(files, [t]), 1)
+        res = ColumnarIndex([job], files, [t]).run(ExactMatcher(), 1)
         assert res.n_matched_jobs == 0  # strict '<' per Algorithm 1
 
     def test_transfer_just_before_job_end_included(self):
         job = make_job(end=2000.0, nin=1000)
         files = [make_file(lfn="f0", size=1000)]
         t = make_transfer(lfn="f0", size=1000, start=1999.9, end=2100.0)
-        res = ExactMatcher().run([job], CandidateIndex(files, [t]), 1)
+        res = ColumnarIndex([job], files, [t]).run(ExactMatcher(), 1)
         assert res.n_matched_jobs == 1
 
     def test_job_with_no_file_rows_unmatchable(self):
         job = make_job()
         transfers = [make_transfer()]
-        res = ExactMatcher().run([job], CandidateIndex([], transfers), 1)
+        res = ColumnarIndex([job], [], transfers).run(ExactMatcher(), 1)
         assert res.n_matched_jobs == 0
 
     def test_same_lfn_different_scopes_distinct(self):
         job = make_job(nin=1000)
         files = [make_file(lfn="f0", size=1000, scope="user.a")]
         wrong_scope = make_transfer(lfn="f0", size=1000, scope="user.b")
-        res = ExactMatcher().run([job], CandidateIndex(files, [wrong_scope]), 1)
+        res = ColumnarIndex([job], files, [wrong_scope]).run(ExactMatcher(), 1)
         assert res.n_matched_jobs == 0
 
 

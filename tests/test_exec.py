@@ -2,14 +2,14 @@
 
 Covers the hard requirements of the refactor: serial and parallel
 executors must produce bit-identical reports; the artifact cache must
-eliminate repeated pre-selections and ``CandidateIndex`` builds; and
+eliminate repeated pre-selections and ``ColumnarIndex`` builds; and
 cache entries must die when the source's data generation changes.
 """
 
 import pytest
 
 from repro.columnar import ColumnarIndex
-from repro.core.matching.base import CandidateIndex, JobMatch, MatchResult
+from repro.core.matching.base import JobMatch, MatchResult
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.core.matching.subset import SubsetMatcher
 from repro.core.matching.windows import growing_window_curve, multi_method_sweep
@@ -72,21 +72,17 @@ class TestArtifactCache:
         assert cache.get(plan) is first
         assert cache.stats == {"hits": 1, "misses": 1, "entries": 1, "evictions": 0}
 
-    @pytest.mark.parametrize("engine,counter", [
-        ("row", CandidateIndex),
-        ("columnar", ColumnarIndex),
-    ])
-    def test_cache_eliminates_index_rebuilds(self, engine, counter):
+    def test_cache_eliminates_index_rebuilds(self):
         """The build-counter requirement: N methods, one join build."""
         source = tiny_source()
-        pipeline = MatchingPipeline(source, known_sites={"SITE-A"}, engine=engine)
-        before = counter.build_count
+        pipeline = MatchingPipeline(source, known_sites={"SITE-A"})
+        before = ColumnarIndex.build_count
         pipeline.run(0.0, 10_000.0)  # exact + rm1 + rm2
         pipeline.run(0.0, 10_000.0, matchers=[SubsetMatcher({"SITE-A"})])
         growing_window_curve(pipeline, 0.0, 10_000.0, n_points=2)
         # one build for [0, 10000) shared by all five matcher runs, plus
         # one for the curve's half window [0, 5000).
-        assert counter.build_count - before == 2
+        assert ColumnarIndex.build_count - before == 2
 
     def test_generation_change_invalidates(self):
         source = tiny_source()
@@ -142,8 +138,8 @@ def _report_fingerprint(report):
                 "pairs": report[m].matched_pairs(),
                 "n_matched_jobs": report[m].n_matched_jobs,
                 "n_matched_transfers": report[m].n_matched_transfers,
-                "by_class": report[m].jobs_by_class(),
-                "local_remote": report[m].local_remote_split(),
+                "by_class": report[m].frame().jobs_by_class(),
+                "local_remote": report[m].frame().local_remote_split(),
             }
             for m in report.methods
         },
@@ -299,15 +295,6 @@ class TestPersistentPool:
             after = ex.execute(source, [plan])[0]
             assert ex.pool_inits == 2
             assert after.n_jobs >= before.n_jobs
-
-    def test_engine_change_reinitializes(self):
-        source = tiny_source()
-        plan = WindowPlan(0.0, 10_000.0)
-        with ParallelExecutor(workers=2) as ex:
-            col = ex.execute(source, [plan], engine="columnar")[0]
-            row = ex.execute(source, [plan], engine="row")[0]
-            assert ex.pool_inits == 2
-            assert _report_fingerprint(col) == _report_fingerprint(row)
 
 
 class TestArtifactCacheThreadSafety:

@@ -7,7 +7,8 @@ test_matching_pipeline.py.
 
 import pytest
 
-from repro.core.matching.base import BaseMatcher, CandidateIndex, TransferClass
+from repro.columnar import ColumnarIndex
+from repro.core.matching.base import BaseMatcher, TransferClass
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.rm1 import RM1Matcher
 from repro.core.matching.rm2 import RM2Matcher
@@ -17,21 +18,25 @@ from tests.helpers import make_file, make_job, make_transfer, matching_triple
 
 
 def run_one(matcher: BaseMatcher, job, files, transfers):
-    index = CandidateIndex(files, transfers)
-    return matcher.run([job], index, n_transfers_considered=len(transfers))
+    index = ColumnarIndex([job], files, transfers)
+    return index.run(matcher, n_transfers_considered=len(transfers))
+
+
+def candidates(job, files, transfers):
+    """T'_j: the join's candidate transfers for one job."""
+    index = ColumnarIndex([job], files, transfers)
+    return [transfers[i] for i in index.cand_tpos.tolist()]
 
 
 class TestCandidateJoin:
     def test_full_attribute_join(self):
         job, files, transfers = matching_triple()
-        index = CandidateIndex(files, transfers)
-        assert len(index.candidates_for_job(job)) == 3
+        assert len(candidates(job, files, transfers)) == 3
 
     def test_files_require_both_ids(self):
         job, files, transfers = matching_triple()
         files[0].jeditaskid = 999  # wrong task
-        index = CandidateIndex(files, transfers)
-        lfns = {t.lfn for t in index.candidates_for_job(job)}
+        lfns = {t.lfn for t in candidates(job, files, transfers)}
         assert "f0" not in lfns
 
     @pytest.mark.parametrize("field,value", [
@@ -43,26 +48,22 @@ class TestCandidateJoin:
     def test_attribute_mismatch_excluded(self, field, value):
         job, files, transfers = matching_triple(n_files=1)
         setattr(transfers[0], field, value)
-        index = CandidateIndex(files, transfers)
-        assert index.candidates_for_job(job) == []
+        assert candidates(job, files, transfers) == []
 
     def test_taskless_transfers_unreachable(self):
         job, files, transfers = matching_triple(n_files=1)
         transfers[0].jeditaskid = 0
-        index = CandidateIndex(files, transfers)
-        assert index.candidates_for_job(job) == []
+        assert candidates(job, files, transfers) == []
 
     def test_wrong_task_transfers_unreachable(self):
         job, files, transfers = matching_triple(n_files=1)
         transfers[0].jeditaskid = 12345
-        index = CandidateIndex(files, transfers)
-        assert index.candidates_for_job(job) == []
+        assert candidates(job, files, transfers) == []
 
     def test_candidates_deduplicated(self):
         job, files, transfers = matching_triple(n_files=1)
         files.append(make_file(lfn="f0", size=1000))  # duplicate file row
-        index = CandidateIndex(files, transfers)
-        assert len(index.candidates_for_job(job)) == 1
+        assert len(candidates(job, files, transfers)) == 1
 
 
 class TestExactMatcher:
@@ -141,7 +142,7 @@ class TestExactMatcher:
         transfers[0].source_site = "FAR-AWAY"
         res = run_one(ExactMatcher(), job, files, transfers)
         assert res.matches[0].transfer_class is TransferClass.MIXED
-        local, remote = res.local_remote_split()
+        local, remote = res.frame().local_remote_split()
         assert (local, remote) == (1, 1)
 
 
@@ -200,7 +201,7 @@ class TestRM2Matcher:
         job, files, transfers = matching_triple(n_files=1)
         transfers[0].destination_site = UNKNOWN_SITE
         res = run_one(RM2Matcher(), job, files, transfers)
-        local, remote = res.local_remote_split()
+        local, remote = res.frame().local_remote_split()
         assert (local, remote) == (0, 1)
         assert res.matches[0].transfer_class is TransferClass.ALL_REMOTE
 

@@ -61,15 +61,15 @@ class TestPaperShapes:
     def test_exact_mostly_local(self, small_report):
         """Table 2a: the exact method's matches are dominated by local
         transfers (94% in the paper)."""
-        local, remote = small_report["exact"].local_remote_split()
+        local, remote = small_report["exact"].frame().local_remote_split()
         assert local > remote
 
     def test_rm2_gain_is_remote(self, small_report):
         """Table 2a: RM2's additional matches land in the remote column
         (UNKNOWN endpoints count as non-local)."""
-        _, rm1_remote = small_report["rm1"].local_remote_split()
-        rm1_local, _ = small_report["rm1"].local_remote_split()
-        rm2_local, rm2_remote = small_report["rm2"].local_remote_split()
+        _, rm1_remote = small_report["rm1"].frame().local_remote_split()
+        rm1_local, _ = small_report["rm1"].frame().local_remote_split()
+        rm2_local, rm2_remote = small_report["rm2"].frame().local_remote_split()
         assert rm2_remote > rm1_remote
         assert rm2_local == rm1_local
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import ColumnarIndex
 from repro.core.anomaly.imbalance import gini_coefficient
-from repro.core.matching.base import CandidateIndex
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.rm1 import RM1Matcher
 from repro.core.matching.rm2 import RM2Matcher
@@ -120,11 +120,11 @@ def degraded_population(draw):
 @settings(max_examples=120, deadline=None)
 def test_matchers_nest(pop):
     job, files, transfers = pop
-    index = CandidateIndex(files, transfers)
+    index = ColumnarIndex([job], files, transfers)
     known = {"SITE-A", "SITE-B"}
-    exact = ExactMatcher(known).run([job], index, len(transfers))
-    rm1 = RM1Matcher(known).run([job], index, len(transfers))
-    rm2 = RM2Matcher(known).run([job], index, len(transfers))
+    exact = index.run(ExactMatcher(known), len(transfers))
+    rm1 = index.run(RM1Matcher(known), len(transfers))
+    rm2 = index.run(RM2Matcher(known), len(transfers))
     assert exact.matched_transfer_ids() <= rm1.matched_transfer_ids()
     assert rm1.matched_transfer_ids() <= rm2.matched_transfer_ids()
     assert exact.n_matched_jobs <= rm1.n_matched_jobs <= rm2.n_matched_jobs
@@ -134,9 +134,9 @@ def test_matchers_nest(pop):
 @settings(max_examples=80, deadline=None)
 def test_matched_transfers_satisfy_time_condition(pop):
     job, files, transfers = pop
-    index = CandidateIndex(files, transfers)
+    index = ColumnarIndex([job], files, transfers)
     for matcher in (ExactMatcher(), RM1Matcher(), RM2Matcher()):
-        res = matcher.run([job], index, len(transfers))
+        res = index.run(matcher, len(transfers))
         for m in res.matches:
             for t in m.transfers:
                 assert t.starttime < m.job.endtime

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import ColumnarIndex
 from repro.core.analysis.bandwidth import bandwidth_series
 from repro.core.analysis.temporal import transfer_volume_profile
-from repro.core.matching.base import CandidateIndex
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.subset import SubsetMatcher
 from repro.rucio.did import DID
@@ -47,8 +47,7 @@ def test_subset_always_matches_polluted_clean_core(pop):
     """Whatever duplicates pollute the candidates, subset matching finds
     a byte-exact selection (the clean core exists by construction)."""
     job, files, transfers = pop
-    index = CandidateIndex(files, transfers)
-    res = SubsetMatcher().run([job], index, len(transfers))
+    res = ColumnarIndex([job], files, transfers).run(SubsetMatcher(), len(transfers))
     assert res.n_matched_jobs == 1
     selected = res.matches[0].transfers
     assert sum(t.file_size for t in selected) == job.ninputfilebytes
@@ -61,9 +60,9 @@ def test_subset_always_matches_polluted_clean_core(pop):
 @settings(max_examples=60, deadline=None)
 def test_subset_dominates_exact(pop):
     job, files, transfers = pop
-    index = CandidateIndex(files, transfers)
-    exact = ExactMatcher().run([job], index, len(transfers))
-    subset = SubsetMatcher().run([job], index, len(transfers))
+    index = ColumnarIndex([job], files, transfers)
+    exact = index.run(ExactMatcher(), len(transfers))
+    subset = index.run(SubsetMatcher(), len(transfers))
     assert exact.n_matched_jobs <= subset.n_matched_jobs
 
 

@@ -89,7 +89,7 @@ class TestRetries:
         jeditaskid: both attempts' candidates mix, the whole-set size
         check fails for both, and only subset selection untangles them
         — the real-ATLAS ambiguity the paper's Algorithm 1 inherits."""
-        from repro.core.matching.base import CandidateIndex
+        from repro.columnar import ColumnarIndex
         from repro.core.matching.exact import ExactMatcher
         from repro.core.matching.subset import SubsetMatcher
         from tests.helpers import make_file, make_job, make_transfer
@@ -105,12 +105,12 @@ class TestRetries:
             make_transfer(row_id=3, lfn="f0", size=1000, start=1600.0, end=1650.0),
             make_transfer(row_id=4, lfn="f1", size=1000, start=1650.0, end=1700.0),
         ]
-        index = CandidateIndex(files(1) + files(2), transfers)
+        index = ColumnarIndex([a1, a2], files(1) + files(2), transfers)
 
-        exact = ExactMatcher().run([a1, a2], index, 4)
+        exact = index.run(ExactMatcher(), 4)
         # attempt 2 sees all four transfers -> S=4000 != 2000 -> unmatched;
         # attempt 1 only sees the pre-end pair -> matched.
         assert {m.job.pandaid for m in exact.matched_jobs()} == {1}
 
-        subset = SubsetMatcher().run([a1, a2], index, 4)
+        subset = index.run(SubsetMatcher(), 4)
         assert {m.job.pandaid for m in subset.matched_jobs()} == {1, 2}

@@ -2,9 +2,10 @@
 
 Three contracts:
 
-* **engine parity** — the columnar score kernel is bit-identical to
-  the row reference for any window and any parameterization (hypothesis
-  sweeps over degraded windows and thresholds);
+* **oracle parity** — the columnar score kernel is bit-identical to
+  the reference in ``tests/oracle.py`` for any window and any
+  parameterization (hypothesis sweeps over degraded windows and
+  thresholds);
 * **streaming parity** — the incremental per-close delta scoring
   accumulates to exactly the batch result under shuffled delivery and
   arbitrary micro-batch sizes (given sufficient lateness);
@@ -37,14 +38,15 @@ from repro.core.matching import (
     recover_unknown_sites,
     visible_true_pairs,
 )
-from repro.core.matching.base import CandidateIndex, JobMatch, MatchResult
-from repro.exec import SerialExecutor, WindowPlan
+from repro.core.matching.base import JobMatch, MatchResult
+from repro.exec import WindowPlan
 from repro.exec.executor import make_matchers
 from repro.metastore.opensearch import OpenSearchLike
 from repro.stream import EventKind, EventLog, StreamProcessor
 from repro.telemetry.groundtruth import GroundTruth
 from repro.telemetry.records import UNKNOWN_SITE
 
+from tests import oracle
 from tests.helpers import make_file, make_job, make_transfer, matching_triple
 
 
@@ -52,7 +54,7 @@ KNOWN = {"SITE-A", "SITE-B"}
 
 SITES = st.sampled_from(["SITE-A", "SITE-B", "", UNKNOWN_SITE])
 LFNS = st.sampled_from(["f0", "f1", "f2", "f3"])
-TASKIDS = st.sampled_from([0, 100, 200])
+TASKIDS = st.sampled_from([-7, 0, 100, 200])
 SIZES = st.sampled_from([500, 1000])
 DATASETS = st.sampled_from(["ds", "ds2"])
 
@@ -111,10 +113,10 @@ def rm3_windows(draw):
 
 
 def assert_rm3_engines_agree(jobs, files, transfers, matchers=None):
-    row_index = CandidateIndex(files, transfers)
+    row_index = oracle.CandidateIndex(files, transfers)
     col_index = ColumnarIndex(jobs, files, transfers)
     for matcher in matchers or rm3_matchers():
-        row = matcher.run(jobs, row_index, n_transfers_considered=7)
+        row = oracle.run_matcher(matcher, jobs, row_index, n_transfers_considered=7)
         col = col_index.run(matcher, n_transfers_considered=7)
         assert col.matched_pairs() == row.matched_pairs()
         assert [
@@ -159,7 +161,7 @@ class TestLowering:
             RM3Matcher(KNOWN, site_prior=0.2, site_contra=0.5)
 
 
-# -- row vs columnar parity -------------------------------------------------------
+# -- kernel vs oracle parity ------------------------------------------------------
 
 
 class TestEngineParity:
@@ -359,11 +361,11 @@ class TestStreamingParity:
             events[i : i + batch_events] for i in range(0, len(events), batch_events)
         )
 
-        batch = SerialExecutor(engine="columnar").execute(
+        batch = oracle.build_report(
             _ingest(jobs, files, transfers),
-            [WindowPlan(T0, T1)],
-            matchers=[RM3Matcher(KNOWN, threshold=threshold), RM2Matcher(KNOWN)],
-        )[0]
+            WindowPlan(T0, T1),
+            [RM3Matcher(KNOWN, threshold=threshold), RM2Matcher(KNOWN)],
+        )
         stream = processor.report()
         assert stream.methods == batch.methods
         for m in batch.methods:

@@ -56,6 +56,17 @@ def _pack_source() -> PackSource:
 PLAN = WindowPlan(0.0, 10_000.0)
 
 
+class _RecordsOnly:
+    """The per-record query surface of a source, without column packs."""
+
+    def __init__(self, inner: OpenSearchLike) -> None:
+        self.inner = inner
+        self.generation = inner.generation
+        self.user_jobs_completed_in = inner.user_jobs_completed_in
+        self.transfers_started_in = inner.transfers_started_in
+        self.files_of_jobs = inner.files_of_jobs
+
+
 # -- export / attach --------------------------------------------------------------
 
 
@@ -135,7 +146,7 @@ class TestArchiveRegistry:
         assert key not in shm.active_archives()
 
     def test_release_of_unknown_key_is_a_noop(self):
-        shm.release(("source", ("tok", -2), 0, "columnar"))
+        shm.release(("source", ("tok", -2), 0))
 
 
 # -- executor integration ---------------------------------------------------------
@@ -144,10 +155,10 @@ class TestArchiveRegistry:
 class TestExecutorSeeding:
     def test_shm_path_matches_serial_bit_for_bit(self):
         src = _source()
-        serial = SerialExecutor(engine="columnar").execute(
+        serial = SerialExecutor().execute(
             src, [PLAN], known_sites=KNOWN_SITES
         )[0]
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             parallel = ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
             assert ex.seed_mode == "shm"
             assert len(shm.active_archives()) == 1
@@ -157,7 +168,7 @@ class TestExecutorSeeding:
 
     def test_close_releases_the_archive(self):
         src = _source()
-        ex = ParallelExecutor(workers=2, engine="columnar")
+        ex = ParallelExecutor(workers=2)
         ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
         (archive,) = shm.active_archives().values()
         ex.close()
@@ -166,7 +177,7 @@ class TestExecutorSeeding:
 
     def test_generation_bump_rotates_pool_and_archive(self):
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             (old,) = shm.active_archives().values()
             assert ex.pool_inits == 1
@@ -182,7 +193,7 @@ class TestExecutorSeeding:
 
     def test_pool_reuse_exports_once(self):
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             assert ex.pool_inits == 1
@@ -190,22 +201,23 @@ class TestExecutorSeeding:
 
     def test_pickle_fallback_is_identical(self):
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar",
-                              shared_memory=False) as ex:
+        with ParallelExecutor(workers=2, shared_memory=False) as ex:
             report = ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
             assert ex.seed_mode == "pickle"
             assert not shm.active_archives()
-        serial = SerialExecutor(engine="columnar").execute(
+        serial = SerialExecutor().execute(
             src, [PLAN], known_sites=KNOWN_SITES
         )[0]
         assert report == serial
 
     def test_row_engine_defaults_to_pickle(self):
-        src = _source()
-        with ParallelExecutor(workers=2, engine="row") as ex:
-            ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
+        """A source without column packs seeds workers by pickling."""
+        src = _RecordsOnly(_source())
+        with ParallelExecutor(workers=2) as ex:
+            report = ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
             assert ex.seed_mode == "pickle"
             assert not shm.active_archives()
+        assert report == SerialExecutor().execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
 
 
 # -- source identity --------------------------------------------------------------
@@ -238,8 +250,8 @@ class TestSourceToken:
 
     def test_pool_key_uses_token_not_raw_id(self):
         src = _source()
-        ex = ParallelExecutor(workers=2, engine="columnar")
-        key = ex._source_key(src, "columnar")
+        ex = ParallelExecutor(workers=2)
+        key = ex._source_key(src)
         assert key[1] == source_token(src)
         assert key[1][0] == "tok"
         assert id(src) not in key
@@ -255,7 +267,7 @@ class TestConcurrentLifecycle:
         from concurrent.futures import ThreadPoolExecutor
 
         src = _source()
-        ex = ParallelExecutor(workers=2, engine="columnar")
+        ex = ParallelExecutor(workers=2)
         ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
         with ThreadPoolExecutor(4) as pool:
             for f in [pool.submit(ex.close) for _ in range(8)]:
@@ -275,7 +287,7 @@ class TestConcurrentLifecycle:
             barrier.wait()
             return ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
 
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             with ThreadPoolExecutor(4) as pool:
                 reports = [f.result() for f in
                            [pool.submit(run, i) for i in range(4)]]
@@ -289,7 +301,7 @@ class TestConcurrentLifecycle:
         from concurrent.futures import ThreadPoolExecutor
 
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             (old,) = shm.active_archives().values()
             src.ingest_batch(jobs=[make_job(pandaid=88, jeditaskid=301,

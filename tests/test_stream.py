@@ -3,7 +3,8 @@
 The load-bearing requirement is **bit-identical accumulation**: after a
 streaming replay of a window — in any delivery order, at any micro-batch
 size, with any sufficient lateness bound — the accumulated state equals
-the batch pipeline's report via dataclass ``==``, for Exact/RM1/RM2.
+the reference batch report (``tests/oracle.py``) via dataclass ``==``,
+for Exact/RM1/RM2.
 The hypothesis suite drives exactly that property; the unit tests cover
 the building blocks (event log, watermark, incremental index freeze,
 ``ingest_batch``, folds, metrics, the live collector tap).
@@ -18,12 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis.queuing import timings_for_result
-from repro.core.analysis.summary import headline_stats
-from repro.core.analysis.thresholds import threshold_sweep
 from repro.core.matching.base import BaseMatcher
-from repro.core.matching.pipeline import MatchingPipeline
-from repro.exec import ArtifactCache, WindowPlan
+from repro.exec import ArtifactCache, WindowPlan, default_matchers
 from repro.grid.presets import build_mini
 from repro.metastore.index import FieldIndex
 from repro.metastore.opensearch import OpenSearchLike
@@ -39,6 +36,7 @@ from repro.stream import (
 )
 from repro.workload.generator import WorkloadConfig
 
+from tests import oracle
 from tests.helpers import make_file, make_job, make_transfer
 
 # -- shared material --------------------------------------------------------------
@@ -75,17 +73,18 @@ def live_log(live_harness) -> EventLog:
 
 @pytest.fixture(scope="module")
 def live_batch(live_harness, live_log):
-    """The batch pipeline over exactly the log's records."""
+    """The oracle's batch report over exactly the log's records."""
     source = OpenSearchLike()
     source.ingest_batch(
         jobs=[e.record for e in live_log if e.kind is EventKind.JOB],
         files=[f for e in live_log if e.kind is EventKind.JOB for f in e.files],
         transfers=[e.record for e in live_log if e.kind is EventKind.TRANSFER],
     )
-    t0, t1 = live_harness.window
-    return MatchingPipeline(
-        source, known_sites=live_harness.known_site_names()
-    ).run(t0, t1)
+    return oracle.build_report(
+        source,
+        WindowPlan(*live_harness.window),
+        default_matchers(live_harness.known_site_names()),
+    )
 
 
 def _disorder_bound(events) -> float:
@@ -543,18 +542,16 @@ class TestFolds:
         )
 
     def test_summary_fold_matches_batch_headline(self, streamed, live_batch):
-        assert streamed.headline() == headline_stats(live_batch, "exact", frame="row")
+        assert streamed.headline() == oracle.headline_stats(live_batch, "exact")
 
     def test_threshold_fold_matches_batch_sweep(self, streamed, live_batch):
-        expected = threshold_sweep(
-            timings_for_result(live_batch["exact"], frame="row")
-        )
+        expected = oracle.threshold_sweep(oracle.timings(live_batch["exact"]))
         assert streamed.folds["thresholds"].snapshot() == expected
 
     def test_queuing_fold_matches_batch_tallies(self, streamed, live_batch):
         fold = streamed.folds["queuing"]
-        assert fold.jobs_by_class() == live_batch["exact"].jobs_by_class()
-        assert fold.local_remote_split() == live_batch["exact"].local_remote_split()
+        assert fold.jobs_by_class() == oracle.jobs_by_class(live_batch["exact"])
+        assert fold.local_remote_split() == oracle.local_remote_split(live_batch["exact"])
 
     def test_headline_requires_summary_fold(self, live_harness):
         from repro.stream import FoldSet

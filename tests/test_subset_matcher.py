@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.matching.base import CandidateIndex
+from repro.columnar import ColumnarIndex
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.subset import SubsetMatcher
 
@@ -10,8 +10,8 @@ from tests.helpers import make_file, make_job, make_transfer, matching_triple
 
 
 def run_one(matcher, job, files, transfers):
-    index = CandidateIndex(files, transfers)
-    return matcher.run([job], index, n_transfers_considered=len(transfers))
+    index = ColumnarIndex([job], files, transfers)
+    return index.run(matcher, n_transfers_considered=len(transfers))
 
 
 class TestSubsetMatcher:
