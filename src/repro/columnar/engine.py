@@ -6,6 +6,13 @@ jobs → files → transfers join once as flat candidate arrays, and then
 runs each matcher's final filters (time, site, whole-set size) as
 NumPy kernels.
 
+A run returns an array-first :class:`MatchResult`: the
+:class:`~repro.columnar.frame.MatchFrame` gathered from the final
+candidate arrays, plus a
+:class:`~repro.core.matching.base.LazyMatches` that assembles the
+``JobMatch`` list from the window's records only when an element is
+read.  Counting, pairing and the §5 analyses never read it.
+
 Its output is held bit-identical to the plain-record reference join in
 ``tests/oracle.py``, whose ordering rules are reproduced exactly:
 
@@ -37,8 +44,9 @@ import numpy as np
 
 from repro.columnar.frame import MatchFrame
 from repro.columnar.interner import StringInterner
+from repro.columnar.kernels import group_boundaries, ragged_arange
 from repro.columnar.packs import WindowColumns
-from repro.core.matching.base import BaseMatcher, JobMatch, MatchResult
+from repro.core.matching.base import BaseMatcher, JobMatch, LazyMatches, MatchResult
 from repro.core.matching.rm2 import RM2Matcher
 from repro.core.matching.rm3 import RM3Matcher
 from repro.obs import get_obs
@@ -76,16 +84,6 @@ def supports_columnar(matcher: BaseMatcher) -> bool:
         and cls.time_ok is BaseMatcher.time_ok
         and (cls.site_ok is BaseMatcher.site_ok or cls.site_ok is RM2Matcher.site_ok)
     )
-
-
-def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + c)`` for each (start, count) pair."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends, counts)
-    return np.repeat(starts, counts) + offsets
 
 
 def _joint_codes(
@@ -210,13 +208,13 @@ class ColumnarIndex:
         # Expand jobs -> their file rows (insertion order inside groups).
         files_per_job = group_hi - group_lo
         entry_job = np.repeat(np.arange(n_jobs, dtype=np.int64), files_per_job)
-        entry_fi = file_order[_ragged_arange(group_lo, files_per_job)]
+        entry_fi = file_order[ragged_arange(group_lo, files_per_job)]
 
         # Expand file rows -> their candidate transfer runs.
         cands_per_entry = run_hi[entry_fi] - run_lo[entry_fi]
         cand_job = np.repeat(entry_job, cands_per_entry)
         cand_fi = np.repeat(entry_fi, cands_per_entry)
-        cand_tpos = sorted_tpos[_ragged_arange(run_lo[entry_fi], cands_per_entry)]
+        cand_tpos = sorted_tpos[ragged_arange(run_lo[entry_fi], cands_per_entry)]
 
         # Attribute equality beyond the (task, lfn) key: dataset,
         # proddblock, scope — all int comparisons now.  Size equality
@@ -359,34 +357,57 @@ class ColumnarIndex:
         cand_job = self.cand_job[kept]
         cand_tpos = self.cand_tpos[kept]
 
-        frame: Optional[MatchFrame] = None
         if type(matcher).select_job is not BaseMatcher.select_job:
-            matches = self._select_per_job(matcher, cand_job, cand_tpos)
-        else:
-            if matcher.use_size_check:
-                tp, jp = self.columns.transfers, self.columns.jobs
-                totals = np.zeros(len(jp), dtype=np.int64)
-                np.add.at(totals, cand_job, tp.size[cand_tpos])
-                size_ok = (totals == jp.nin) | (totals == jp.nout)
-                keep = size_ok[cand_job]
-                cand_job = cand_job[keep]
-                cand_tpos = cand_tpos[keep]
-            # The final filtered candidate arrays are exactly the
-            # matched ragged mapping — lower them to the analysis frame
-            # here, while they are still in hand (a select_job override
-            # reorders per job, so that path lowers its matches lazily
-            # via MatchResult.frame()).
-            frame = MatchFrame.from_candidates(self.columns, cand_job, cand_tpos)
-            take = self.transfers.__getitem__
-            matches = [
-                JobMatch(job=self.jobs[j], transfers=list(map(take, group.tolist())))
+            # A select_job override decides per job over records, so
+            # its result is a record list that lowers to a frame lazily
+            # via MatchResult.frame().
+            return MatchResult(
+                method=matcher.name,
+                matches=self._select_per_job(matcher, cand_job, cand_tpos),
+                n_jobs_considered=len(self.jobs),
+                n_transfers_considered=n_transfers_considered,
+            )
+        if matcher.use_size_check:
+            tp, jp = self.columns.transfers, self.columns.jobs
+            totals = np.zeros(len(jp), dtype=np.int64)
+            np.add.at(totals, cand_job, tp.size[cand_tpos])
+            size_ok = (totals == jp.nin) | (totals == jp.nout)
+            keep = size_ok[cand_job]
+            cand_job = cand_job[keep]
+            cand_tpos = cand_tpos[keep]
+        return self._result(matcher, cand_job, cand_tpos, n_transfers_considered)
+
+    def _result(
+        self,
+        matcher: BaseMatcher,
+        cand_job: np.ndarray,
+        cand_tpos: np.ndarray,
+        n_transfers_considered: int,
+    ) -> MatchResult:
+        """A kernel-built result: the frame, plus a lazy match list.
+
+        The final filtered candidate arrays are exactly the matched
+        ragged mapping, so the frame is gathered from them here and
+        answers every count and pair query.  The ``JobMatch`` list —
+        and with it every job and transfer record — is assembled from
+        the same arrays only when something reads an element.
+        """
+        frame = MatchFrame.from_candidates(self.columns, cand_job, cand_tpos)
+        # The closure keeps the record views and the two arrays, not the
+        # whole index with its join arrays.
+        jobs, transfers = self.jobs, self.transfers
+
+        def assemble() -> List[JobMatch]:
+            take = transfers.__getitem__
+            return [
+                JobMatch(job=jobs[j], transfers=list(map(take, group)))
                 for j, group in _grouped(cand_job, cand_tpos)
             ]
 
         result = MatchResult(
             method=matcher.name,
-            matches=matches,
-            n_jobs_considered=len(self.jobs),
+            matches=LazyMatches(assemble, len(frame)),
+            n_jobs_considered=len(jobs),
             n_transfers_considered=n_transfers_considered,
         )
         result._frame = frame
@@ -436,23 +457,9 @@ class ColumnarIndex:
 
         score = (f_time * f_site) * f_size
         keep = score >= matcher.threshold
-        cand_job = cand_job[keep]
-        cand_tpos = cand_tpos[keep]
-
-        frame = MatchFrame.from_candidates(self.columns, cand_job, cand_tpos)
-        take = self.transfers.__getitem__
-        matches = [
-            JobMatch(job=self.jobs[j], transfers=list(map(take, group.tolist())))
-            for j, group in _grouped(cand_job, cand_tpos)
-        ]
-        result = MatchResult(
-            method=matcher.name,
-            matches=matches,
-            n_jobs_considered=len(self.jobs),
-            n_transfers_considered=n_transfers_considered,
+        return self._result(
+            matcher, cand_job[keep], cand_tpos[keep], n_transfers_considered
         )
-        result._frame = frame
-        return result
 
     def _select_per_job(
         self, matcher: BaseMatcher, cand_job: np.ndarray, cand_tpos: np.ndarray
@@ -462,7 +469,7 @@ class ColumnarIndex:
         take = self.transfers.__getitem__
         for j, group in _grouped(cand_job, cand_tpos):
             job = self.jobs[j]
-            kept = matcher.select_job(job, list(map(take, group.tolist())))
+            kept = matcher.select_job(job, list(map(take, group)))
             if kept:
                 matches.append(JobMatch(job=job, transfers=kept))
         return matches
@@ -472,11 +479,11 @@ def _grouped(cand_job: np.ndarray, cand_tpos: np.ndarray):
     """Yield (job position, transfer positions) per contiguous job run.
 
     ``cand_job`` is non-decreasing by construction, so runs are exactly
-    the per-job candidate groups, in window job order.
+    the per-job candidate groups, in window job order.  Positions come
+    out as Python ints, ready to index record sequences.
     """
-    if len(cand_job) == 0:
-        return
-    boundaries = np.flatnonzero(np.diff(cand_job)) + 1
-    starts = np.concatenate(([0], boundaries))
-    for start, group in zip(starts, np.split(cand_tpos, boundaries)):
-        yield int(cand_job[start]), group
+    starts = group_boundaries(cand_job).tolist()
+    jobs = cand_job.tolist()
+    tpos = cand_tpos.tolist()
+    for start, stop in zip(starts, starts[1:] + [len(tpos)]):
+        yield jobs[start], tpos[start:stop]

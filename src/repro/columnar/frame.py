@@ -13,15 +13,17 @@ Two builders share the layout:
 * :meth:`MatchFrame.from_candidates` — the matching kernels' path: the
   final ``(cand_job, cand_tpos)`` arrays they already computed *are*
   the ragged mapping, so the frame is a handful of NumPy gathers from
-  the window's packs.  The kernels attach this eagerly, which also
-  means parallel sweeps build frames inside the worker processes.
+  the window's packs.  This frame is the primary form of a kernel
+  result: job counts, transfer ids and ``matched_pairs()`` answer from
+  it, and the result's ``JobMatch`` list is assembled only when read.
+  Parallel sweeps therefore build frames inside the worker processes.
 * :meth:`MatchFrame.from_matches` — for results assembled as
   ``JobMatch`` lists (``select_job`` overrides, the stream's
   accumulated state), lowered the same way the packs lower records.
 
 The frame is self-contained (compact gathered arrays, not views into
 the full window packs), so pickling a result across the process pool
-ships only the matched slice.
+ships only the matched slice (plus the assembled match list).
 """
 
 from __future__ import annotations
@@ -210,6 +212,23 @@ class MatchFrame:
     @property
     def n_matched_transfers(self) -> int:
         return len(self._first_positions())
+
+    def matched_pairs(self) -> List[Tuple[int, int]]:
+        """(pandaid, transfer row_id) pairs, first occurrence kept.
+
+        The frame form of ``MatchResult.matched_pairs``: same pairs,
+        same order, as tuples of Python ints.
+        """
+        pid = np.repeat(self.pandaid, self.n_transfers)
+        rid = self.t_row_id
+        keep = np.ones(len(rid), dtype=bool)
+        if len(rid) > 1:
+            # lexsort is stable, so each duplicate run starts at its
+            # first occurrence; drop the rest of the run.
+            order = np.lexsort((rid, pid))
+            p, r = pid[order], rid[order]
+            keep[order[1:][(p[1:] == p[:-1]) & (r[1:] == r[:-1])]] = False
+        return list(zip(pid[keep].tolist(), rid[keep].tolist()))
 
     def local_remote_split(self) -> Tuple[int, int]:
         """(local, remote) over distinct transfers, first occurrence wins."""

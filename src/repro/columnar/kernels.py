@@ -1,9 +1,10 @@
 """Vectorized analysis kernels shared by the MatchFrame dataplane.
 
-These are the array primitives the §5 analyses lower to: segmented
-prefix maxima over CSR ragged arrays, the sorted-boundary interval
-union behind the paper's "file transfer time", first-occurrence
-deduplication, and sequential-order bucket accumulation.
+These are the array primitives the join and the §5 analyses lower to:
+ragged ranges for CSR expansion, segmented prefix maxima over CSR
+ragged arrays, the sorted-boundary interval union behind the paper's
+"file transfer time", first-occurrence deduplication, and
+sequential-order bucket accumulation.
 
 Bit-identity with the row implementations is the contract, so every
 kernel reproduces the reference code's *accumulation order*, not just
@@ -103,6 +104,16 @@ def interval_union_lengths(
     run_end = np.maximum.reduceat(e, run_starts)
     np.add.at(totals, job_of[run_starts], run_end - s[run_starts])
     return totals
+
+
+def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` for each (start, count) pair."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(counts) - counts
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends, counts)
+    return np.repeat(starts, counts) + offsets
 
 
 @instrument_kernel("first_occurrences", rows=lambda values: len(values))

@@ -4,12 +4,13 @@ A *pack* is the columnar lowering of one record list: one NumPy array
 per field Algorithm 1 or the §5 analyses touch, with string fields
 dictionary-encoded through a shared
 :class:`~repro.columnar.interner.StringInterner`.  Beyond the join
-attributes, jobs carry their lifecycle timestamps and status codes and
-transfers their end times and activity codes, so the analysis dataplane
-(:mod:`repro.columnar.frame`) can run entirely on the same lowering.
-Record objects stay the source of truth — packs hold positions into the
-original lists, and match results are assembled back from the records —
-so the lowering is an acceleration structure, never a second schema.
+attributes, jobs carry their lifecycle timestamps, status codes and
+error codes and transfers their end times and activity codes, so
+matching and every default analysis (:mod:`repro.columnar.frame`, the
+site dashboards) run on the packs alone and read no record.  Pack rows
+are parallel to the window's record sequences: a caller that wants
+records (a match list, a CLI table) indexes them by the same positions,
+so the lowering never becomes a second schema.
 
 Numeric domains: ids and byte counts must fit ``int64``; timestamps are
 ``float64``; a job with no ``endtime`` lowers to ``NaN`` so the strict
@@ -84,6 +85,7 @@ class JobPack(_PackRows):
     taskstatus: np.ndarray  # int64 codes
     creation: np.ndarray  # float64
     start: np.ndarray  # float64, NaN = never started
+    error_code: np.ndarray  # int64 (0 = no error)
 
     def __len__(self) -> int:
         return len(self.pandaid)
@@ -145,6 +147,7 @@ def lower_jobs(jobs: Sequence[JobRecord], interner: StringInterner) -> JobPack:
             [np.nan if j.starttime is None else j.starttime for j in jobs],
             dtype=np.float64,
         ),
+        error_code=np.array([j.error_code for j in jobs], dtype=np.int64),
     )
 
 

@@ -45,7 +45,7 @@ import numpy as np
 from repro.obs import get_obs
 
 #: Manifest schema version; bump on layout changes.
-_VERSION = 1
+_VERSION = 2
 
 _SHM_ROOT = "/dev/shm"
 

@@ -18,6 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.panda.errors import ErrorCode
 from repro.telemetry.records import JobRecord
 from repro.units import ratio_pct
@@ -87,6 +89,52 @@ def error_mix(jobs: Sequence[JobRecord]) -> ErrorMix:
         by_family[fam] = by_family.get(fam, 0) + 1
         by_code[j.error_code] = by_code.get(j.error_code, 0) + 1
     return ErrorMix(n_jobs=len(jobs), n_failed=failed, by_family=by_family, by_code=by_code)
+
+
+def grouped_error_mixes(
+    group: np.ndarray, failed: np.ndarray, codes: np.ndarray, n_groups: int
+) -> List[ErrorMix]:
+    """:func:`error_mix` of every job group, computed from columns.
+
+    ``group`` holds each job's group in ``[0, n_groups)``, ``failed``
+    its failure flag and ``codes`` its error code, all in record order.
+    Entry ``g`` equals ``error_mix`` over group ``g``'s records in
+    record order, down to the insertion order of ``by_code`` and
+    ``by_family`` (a key enters at its first failed job), which decides
+    ties in :meth:`ErrorMix.dominant_family` and
+    :func:`top_error_codes`.
+    """
+    n_jobs = np.bincount(group, minlength=n_groups)
+    f_group, f_code = group[failed], codes[failed]
+    n_failed = np.bincount(f_group, minlength=n_groups)
+    by_family: List[Dict[ErrorFamily, int]] = [{} for _ in range(n_groups)]
+    by_code: List[Dict[int, int]] = [{} for _ in range(n_groups)]
+    if len(f_group):
+        # One row per distinct (group, code), visited in the order of
+        # its first failed job (np.unique's return_index is the first
+        # occurrence).
+        _, first, counts = np.unique(
+            np.stack([f_group, f_code], axis=1),
+            axis=0, return_index=True, return_counts=True,
+        )
+        order = np.argsort(first)
+        for g, code, n in zip(
+            f_group[first[order]].tolist(),
+            f_code[first[order]].tolist(),
+            counts[order].tolist(),
+        ):
+            by_code[g][code] = n
+            fam = family_of(code)
+            by_family[g][fam] = by_family[g].get(fam, 0) + n
+    return [
+        ErrorMix(
+            n_jobs=int(n_jobs[g]),
+            n_failed=int(n_failed[g]),
+            by_family=by_family[g],
+            by_code=by_code[g],
+        )
+        for g in range(n_groups)
+    ]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.columnar.kernels import group_boundaries
 from repro.columnar.packs import WindowColumns
-from repro.core.analysis.errors import ErrorFamily, ErrorMix, error_mix
+from repro.core.analysis.errors import (
+    ErrorFamily,
+    ErrorMix,
+    error_mix,
+    grouped_error_mixes,
+)
 from repro.telemetry.records import JobRecord, TransferRecord, UNKNOWN_SITE
 
 
@@ -63,15 +68,15 @@ def build_dashboards(
 ) -> Dict[str, SiteDashboard]:
     """One pass over both record sets; returns site -> dashboard.
 
-    With ``columns`` (packs parallel to the record lists), the counts
-    and byte totals come from bincounts/``np.add.at`` over site codes
+    With ``columns`` (packs parallel to the record lists), the counts,
+    byte totals and error mixes come from bincounts over site codes and
+    the job pack's status and error-code columns, and no record is read
     — identical values in identical dict insertion order, so even
-    tie-breaking in :func:`hottest_sites` is unchanged.  Error mixes
-    still walk the per-site job records (they inspect error codes the
-    packs don't carry), grouped by one stable argsort.
+    tie-breaking in :func:`hottest_sites` and
+    :meth:`ErrorMix.dominant_family` is unchanged.
     """
     if columns is not None:
-        return _build_dashboards_columnar(jobs, transfers, columns)
+        return _build_dashboards_columnar(columns)
     boards: Dict[str, SiteDashboard] = {}
 
     def board(site: str) -> SiteDashboard:
@@ -106,11 +111,7 @@ def build_dashboards(
     return boards
 
 
-def _build_dashboards_columnar(
-    jobs: Sequence[JobRecord],
-    transfers: Sequence[TransferRecord],
-    columns: WindowColumns,
-) -> Dict[str, SiteDashboard]:
+def _build_dashboards_columnar(columns: WindowColumns) -> Dict[str, SiteDashboard]:
     jp, tp, it = columns.jobs, columns.transfers, columns.interner
     # Canonical site codes: the empty label folds into UNKNOWN (the
     # reference's ``site or UNKNOWN_SITE``).  When UNKNOWN itself was
@@ -132,39 +133,37 @@ def _build_dashboards_columnar(
     # Reproduce the reference's dict insertion order: jobs first, then
     # each transfer's source before its destination.  (A local transfer
     # only touches its source board, but since src == dst there, the
-    # interleaved sequence has the same first appearances.)
+    # interleaved sequence has the same first appearances.)  Each
+    # code's first position is one minimum-scatter over the small code
+    # domain, not a sort of the whole sequence.
     pair = np.stack([t_src, t_dst], axis=1).ravel() if len(t_src) else t_src
     seq = np.concatenate([j_site, pair])
-    uniq, first_pos = np.unique(seq, return_index=True)
-    site_codes = uniq[np.argsort(first_pos)]
+    n_codes = unk + 1 if synthetic_unk else len(it)
+    first_pos = np.full(n_codes, len(seq), dtype=np.int64)
+    np.minimum.at(first_pos, seq, np.arange(len(seq), dtype=np.int64))
+    seen = np.flatnonzero(first_pos < len(seq))
+    site_codes = seen[np.argsort(first_pos[seen])]
     n_sites = len(site_codes)
-    lut = np.full(unk + 1 if synthetic_unk else len(it), -1, dtype=np.int64)
+    lut = np.full(n_codes, -1, dtype=np.int64)
     lut[site_codes] = np.arange(n_sites, dtype=np.int64)
 
     j_idx = lut[j_site]
-    n_jobs = np.bincount(j_idx, minlength=n_sites) if len(j_idx) else np.zeros(n_sites, np.int64)
     failed = jp.status != it.code_of("finished")
-    n_failed = (
-        np.bincount(j_idx[failed], minlength=n_sites)
-        if failed.any()
-        else np.zeros(n_sites, np.int64)
-    )
+    mixes = grouped_error_mixes(j_idx, failed, jp.error_code, n_sites)
 
-    bytes_in = np.zeros(n_sites, dtype=np.float64)
-    bytes_out = np.zeros(n_sites, dtype=np.float64)
-    bytes_local = np.zeros(n_sites, dtype=np.float64)
-    if len(t_src):
-        local = t_src == t_dst
-        sizes = tp.size
-        np.add.at(bytes_local, lut[t_src[local]], sizes[local])
-        np.add.at(bytes_out, lut[t_src[~local]], sizes[~local])
-        np.add.at(bytes_in, lut[t_dst[~local]], sizes[~local])
+    # np.bincount adds its weights in input order, the same float
+    # additions as the reference's per-transfer ``+=``.
+    local = t_src == t_dst
+    sizes = tp.size.astype(np.float64)
+    bytes_local = np.bincount(lut[t_src[local]], sizes[local], minlength=n_sites)
+    bytes_out = np.bincount(lut[t_src[~local]], sizes[~local], minlength=n_sites)
+    bytes_in = np.bincount(lut[t_dst[~local]], sizes[~local], minlength=n_sites)
 
     started = ~np.isnan(jp.start)
     queue = jp.start - jp.creation
 
     # Per-site job groups in record order (stable argsort), for the
-    # queue-time lists and the error mixes.
+    # queue-time lists.
     order = np.argsort(j_idx, kind="stable")
     starts = group_boundaries(j_idx[order])
     groups: Dict[int, np.ndarray] = {}
@@ -178,16 +177,16 @@ def _build_dashboards_columnar(
         name = UNKNOWN_SITE if (synthetic_unk and code == unk) else it.decode(code)
         board = SiteDashboard(
             site=name,
-            n_jobs=int(n_jobs[k]),
-            n_failed=int(n_failed[k]),
+            n_jobs=mixes[k].n_jobs,
+            n_failed=mixes[k].n_failed,
             bytes_in=float(bytes_in[k]),
             bytes_out=float(bytes_out[k]),
             bytes_local=float(bytes_local[k]),
+            error_mix=mixes[k],
         )
         members = groups.get(k)
         if members is not None:
             board.queue_times = queue[members[started[members]]].tolist()
-            board.error_mix = error_mix([jobs[i] for i in members.tolist()])
         boards[name] = board
     return boards
 

@@ -9,13 +9,21 @@ here as predicate hooks (``time_ok``, ``site_ok``, ``match_job``,
 ``select_job``).  The hooks are the specification of each method: the
 columnar kernels lower the stock ones, and the plain-record reference
 in ``tests/oracle.py`` drives them one job at a time.
+
+A kernel-built :class:`MatchResult` is array-first: its
+:class:`~repro.columnar.frame.MatchFrame` answers every count and pair
+query, and its ``matches`` is a :class:`LazyMatches` that assembles the
+``JobMatch`` list (and with it the job and transfer records) only when
+something reads an element.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.telemetry.records import JobRecord, TransferRecord
 
@@ -63,12 +71,77 @@ class JobMatch:
         return [t for t in self.transfers if t.is_upload]
 
 
+class LazyMatches(SequenceABC):
+    """A ``JobMatch`` list assembled on first element access.
+
+    ``build()`` returns the list; ``length`` is its length, known up
+    front from the match arrays, so ``len()`` and truthiness never
+    assemble anything.  Assembly runs once, under a lock, even when
+    several threads read at the same time; afterwards ``build`` (and
+    the window record views it closes over) is dropped.
+
+    Equality is by content against lists and other lazy lists, in both
+    directions.  Pickling and copying ship the assembled plain list.
+    """
+
+    __slots__ = ("_build", "_length", "_list", "_lock")
+
+    def __init__(self, build: Callable[[], List[JobMatch]], length: int) -> None:
+        self._build: Optional[Callable[[], List[JobMatch]]] = build
+        self._length = length
+        self._list: Optional[List[JobMatch]] = None
+        self._lock = threading.Lock()
+
+    def tolist(self) -> List[JobMatch]:
+        """The assembled list (built on the first call, then shared)."""
+        items = self._list
+        if items is None:
+            with self._lock:
+                items = self._list
+                if items is None:
+                    items = self._list = self._build()
+                    self._build = None
+        return items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        return self.tolist()[i]
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyMatches):
+            other = other.tolist()
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+    def __reduce__(self):
+        return list, (self.tolist(),)
+
+    def __repr__(self) -> str:
+        if self._list is None:
+            return f"LazyMatches(<{self._length} not assembled>)"
+        return f"LazyMatches({self._list!r})"
+
+
 @dataclass
 class MatchResult:
-    """Output of one matcher over one pre-selected window."""
+    """Output of one matcher over one pre-selected window.
+
+    ``matches`` is a plain list for results assembled from records (the
+    ``select_job`` path, the stream's accumulated state) and a
+    :class:`LazyMatches` for kernel-built ones.  Whenever a frame is
+    attached, the job, transfer and pair queries answer from it; the
+    frame and the list describe the same mapping, so both routes give
+    the same values.
+    """
 
     method: str
-    matches: List[JobMatch]
+    matches: Sequence[JobMatch]
     n_jobs_considered: int
     n_transfers_considered: int
 
@@ -80,9 +153,10 @@ class MatchResult:
     )
 
     #: Columnar lowering of this result (``repro.columnar.frame``).
-    #: The columnar kernels attach it eagerly from their candidate
-    #: arrays; results assembled elsewhere (``select_job`` overrides,
-    #: the stream's accumulated state) lower their matches on first use.
+    #: The columnar kernels attach it from their candidate arrays; it is
+    #: the primary form of their results.  Results assembled elsewhere
+    #: (``select_job`` overrides, the stream's accumulated state) lower
+    #: their matches on first use.
     _frame: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -100,13 +174,20 @@ class MatchResult:
 
     @property
     def n_matched_jobs(self) -> int:
+        if self._frame is not None:
+            return len(self._frame)
         return len(self.matched_jobs())
 
     def matched_transfer_ids(self) -> FrozenSet[int]:
         if self._transfer_ids is None:
-            self._transfer_ids = frozenset(
-                t.row_id for m in self.matches for t in m.transfers
-            )
+            if self._frame is not None:
+                self._transfer_ids = frozenset(
+                    self._frame.matched_row_ids().tolist()
+                )
+            else:
+                self._transfer_ids = frozenset(
+                    t.row_id for m in self.matches for t in m.transfers
+                )
         return self._transfer_ids
 
     @property
@@ -121,6 +202,8 @@ class MatchResult:
         pair-level metric downstream.  First-occurrence order is kept,
         so serial and parallel execution emit identical lists.
         """
+        if self._frame is not None:
+            return self._frame.matched_pairs()
         seen: Set[Tuple[int, int]] = set()
         out: List[Tuple[int, int]] = []
         for m in self.matches:

@@ -5,15 +5,17 @@ analysis layers use on :class:`~repro.metastore.opensearch.OpenSearchLike`
 (``materialize_window``, the §4.2 retrieval patterns, ``column_packs``,
 ``generation``) — but its storage *is* the column packs.  No per-record
 document list exists; record objects are materialized lazily, one row
-at a time, only when something actually touches them (match assembly
-touches only matched jobs and transfers, so a paper-scale window never
-pays a million-record Python materialization).
+at a time, only when something actually touches them.  Matching and
+the default analyses read only the packs, so a window pass builds no
+record at all; a kernel result's match list, when read, builds only
+its matched jobs and transfers.
 
 Three pieces make it scale:
 
 * **sidecar columns** — the handful of record fields the packs don't
-  carry (``prodsourcelabel``, error fields, ``ftype``, ``success``),
-  kept as arrays so every record field is faithfully recoverable;
+  carry (``prodsourcelabel``, ``error_message``, ``ftype``,
+  ``success``), kept as arrays so every record field is faithfully
+  recoverable;
 * **time shards** — per-slice sorted ``(values, ids)`` indices over job
   endtime and transfer starttime (the two fields window preselection
   ranges over), so a window query touches only the shards it overlaps
@@ -38,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.interner import StringInterner
+from repro.columnar.kernels import ragged_arange
 from repro.columnar.packs import (
     FilePack,
     JobPack,
@@ -62,7 +65,6 @@ class SidecarColumns:
     """
 
     job_label: np.ndarray  # int64 codes (prodsourcelabel)
-    job_error_code: np.ndarray  # int64
     job_error_message: np.ndarray  # int64 codes
     file_ftype: np.ndarray  # int64 codes
     transfer_success: np.ndarray  # bool
@@ -82,7 +84,6 @@ def lower_sidecar(
 ) -> SidecarColumns:
     return SidecarColumns(
         job_label=interner.encode([j.prodsourcelabel for j in jobs]),
-        job_error_code=np.array([j.error_code for j in jobs], dtype=np.int64),
         job_error_message=interner.encode([j.error_message for j in jobs]),
         file_ftype=interner.encode([f.ftype for f in files]),
         transfer_success=np.array([t.success for t in transfers], dtype=bool),
@@ -96,7 +97,9 @@ class LazyRecords(SequenceABC):
     record for one row.  Caching per position keeps object identity
     stable across repeated access, which downstream code may rely on;
     equality with eagerly built records holds because the record
-    dataclasses compare by value.
+    dataclasses compare by value.  Two threads reading a row for the
+    first time may both build it, but only the first record published
+    is ever handed out.
     """
 
     def __init__(self, make, ids: np.ndarray) -> None:
@@ -112,9 +115,11 @@ class LazyRecords(SequenceABC):
             return [self[j] for j in range(*i.indices(len(self)))]
         if i < 0:
             i += len(self._ids)
+            if i < 0:
+                raise IndexError("LazyRecords index out of range")
         rec = self._cache.get(i)
         if rec is None:
-            rec = self._cache[i] = self._make(int(self._ids[i]))
+            rec = self._cache.setdefault(i, self._make(int(self._ids[i])))
         return rec
 
     def __iter__(self):
@@ -374,7 +379,7 @@ class PackSource:
             endtime=_float_or_none(float(jp.endtime[row])),
             ninputfilebytes=int(jp.nin[row]),
             noutputfilebytes=int(jp.nout[row]),
-            error_code=int(sc.job_error_code[row]),
+            error_code=int(jp.error_code[row]),
             error_message=decode(int(sc.job_error_message[row])),
         )
 
@@ -444,10 +449,7 @@ class PackSource:
         uniq = np.unique(np.asarray(pandaids, dtype=np.int64))
         lo = np.searchsorted(self._file_pandaid_sorted, uniq, side="left")
         hi = np.searchsorted(self._file_pandaid_sorted, uniq, side="right")
-        spans = [self._file_order[a:b] for a, b in zip(lo, hi) if a < b]
-        if not spans:
-            return np.empty(0, dtype=np.int64)
-        out = np.concatenate(spans) if len(spans) > 1 else spans[0].copy()
+        out = self._file_order[ragged_arange(lo, hi - lo)]
         out.sort()
         return out
 

@@ -67,9 +67,11 @@ def _render_value(value: Any, indent: int = 0) -> List[str]:
     return [f"{pad}- {value}"]
 
 
-def render_experiment(data: dict) -> str:
-    name = data.get("experiment", "unknown")
-    lines = [f"## {name}", ""]
+def render_experiment(data: dict, name: str = "unknown") -> str:
+    """One artifact as a markdown section.  The heading is the
+    artifact's ``experiment`` key, else ``name`` (the key
+    :func:`load_results` filed it under)."""
+    lines = [f"## {data.get('experiment', name)}", ""]
     if data.get("notes"):
         lines += [f"*{data['notes']}*", ""]
     lines.append("**Paper:**")
@@ -89,7 +91,7 @@ def build_markdown_report(results_dir: PathLike, title: str = "Experiment result
     parts = [f"# {title}", "",
              f"{len(results)} experiment artifact(s) found.", ""]
     for name in ordered:
-        parts.append(render_experiment(results[name]))
+        parts.append(render_experiment(results[name], name))
     return "\n".join(parts)
 
 

@@ -51,6 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.core.matching.base import LazyMatches
 from repro.exec.analysis import ANALYSIS_NAMES, AnalysisSpec, analyze_report
 from repro.exec.artifacts import ArtifactCache, WindowArtifacts, build_report
 from repro.exec.executor import ParallelExecutor, default_matchers
@@ -70,7 +71,10 @@ def bit_identical(a, b) -> bool:
     are dataclasses holding arrays, where ``==`` broadcasts.  This is
     the equality the bit-identity guarantee is stated in: same
     structure, same dtypes, same bits (NaN equals NaN — the arrays are
-    byte-identical even where IEEE ``==`` is not reflexive).
+    byte-identical even where IEEE ``==`` is not reflexive).  A
+    kernel-built result's :class:`LazyMatches` compares as the list it
+    assembles, so a lazy and an eager result with the same matches are
+    identical and their contents are still compared.
     """
     import dataclasses
     import math
@@ -79,6 +83,10 @@ def bit_identical(a, b) -> bool:
 
     if a is b:
         return True
+    if isinstance(a, LazyMatches):
+        a = a.tolist()
+    if isinstance(b, LazyMatches):
+        b = b.tolist()
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
             return False

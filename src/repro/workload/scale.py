@@ -265,6 +265,7 @@ def _synthesize_inner(config: ScaleConfig) -> ScaleDataset:
         taskstatus=status,
         creation=creation,
         start=start,
+        error_code=np.zeros(n, dtype=np.int64),
     )
     files = FilePack(
         pandaid=pandaid[file_job],
@@ -277,7 +278,6 @@ def _synthesize_inner(config: ScaleConfig) -> ScaleDataset:
     )
     sidecar = SidecarColumns(
         job_label=np.where(is_user, code_user, code_managed),
-        job_error_code=np.zeros(n, dtype=np.int64),
         job_error_message=np.full(n, code_empty, dtype=np.int64),
         file_ftype=np.full(n_files, code_input, dtype=np.int64),
         transfer_success=np.ones(nt, dtype=bool),

@@ -21,6 +21,7 @@ def make_job(
     status: str = "finished",
     taskstatus: str = "finished",
     label: str = "user",
+    error_code: int = 0,
 ) -> JobRecord:
     return JobRecord(
         pandaid=pandaid,
@@ -34,6 +35,7 @@ def make_job(
         endtime=end,
         ninputfilebytes=nin,
         noutputfilebytes=nout,
+        error_code=error_code,
     )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.analysis.errors import ErrorFamily, top_error_codes
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.queuing import (
     correlation_size_vs_time,
@@ -43,6 +44,7 @@ from repro.exec import (
 from repro.telemetry.records import UNKNOWN_SITE
 
 from tests import oracle
+from tests.helpers import make_job
 from tests.test_columnar import KNOWN, _ingest, degraded_windows
 
 PLAN = WindowPlan(0.0, 10_000.0)
@@ -190,10 +192,8 @@ class TestSummaryParity:
 class TestWindowAnalysesParity:
     """Analyses over the window's packs (no match frame involved)."""
 
-    @given(degraded_windows())
-    @settings(max_examples=25, deadline=None)
-    def test_site_dashboards(self, window):
-        jobs, files, transfers = window
+    @staticmethod
+    def _assert_dashboards_equal(window):
         artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
         fast = build_dashboards(artifacts.jobs, artifacts.transfers, columns=artifacts.columns)
         ref = build_dashboards(artifacts.jobs, artifacts.transfers)
@@ -205,6 +205,48 @@ class TestWindowAnalysesParity:
             assert (f.bytes_in, f.bytes_out, f.bytes_local) == (
                 r.bytes_in, r.bytes_out, r.bytes_local)
             assert f.error_mix == r.error_mix
+            # insertion order decides ties in dominant_family/top_error_codes
+            assert list(f.error_mix.by_code) == list(r.error_mix.by_code)
+            assert list(f.error_mix.by_family) == list(r.error_mix.by_family)
+            assert f.dominant_error_family == r.dominant_error_family
+            assert top_error_codes(f.error_mix) == top_error_codes(r.error_mix)
+        return fast
+
+    @given(degraded_windows())
+    @settings(max_examples=25, deadline=None)
+    def test_site_dashboards(self, window):
+        self._assert_dashboards_equal(window)
+
+    def test_site_error_mix_order_and_ties(self):
+        """Tied counts, an unmapped code and a failed job with code 0:
+        the columnar mixes keep the record path's first-failure order."""
+        jobs = [
+            make_job(pandaid=i + 1, site=site, status=status, error_code=code)
+            for i, (site, status, code) in enumerate([
+                ("SITE-A", "finished", 0),
+                ("SITE-A", "failed", 1201),  # compute
+                ("SITE-B", "failed", 4242),  # not in ERROR_FAMILIES
+                ("SITE-A", "failed", 1099),  # data
+                ("SITE-A", "failed", 1099),
+                ("SITE-B", "failed", 1361),  # site
+                ("SITE-A", "failed", 1201),
+                ("SITE-A", "failed", 4242),
+                ("SITE-B", "failed", 0),
+                ("SITE-B", "failed", 1361),
+            ])
+        ]
+        fast = self._assert_dashboards_equal((jobs, [], []))
+        a, b = fast["SITE-A"].error_mix, fast["SITE-B"].error_mix
+        assert (a.n_jobs, a.n_failed) == (6, 5)
+        assert list(a.by_code.items()) == [(1201, 2), (1099, 2), (4242, 1)]
+        assert list(a.by_family) == [
+            ErrorFamily.COMPUTE, ErrorFamily.DATA, ErrorFamily.OTHER]
+        assert a.dominant_family() is ErrorFamily.COMPUTE  # tie: first wins
+        assert [c for c, _, _ in top_error_codes(a)] == [1201, 1099, 4242]
+        assert list(b.by_code.items()) == [(4242, 1), (1361, 2), (0, 1)]
+        assert list(b.by_family) == [
+            ErrorFamily.OTHER, ErrorFamily.SITE, ErrorFamily.NONE]
+        assert b.dominant_family() is ErrorFamily.SITE
 
     @given(degraded_windows())
     @settings(max_examples=25, deadline=None)

@@ -182,13 +182,16 @@ LFNS = st.sampled_from(["f0", "f1", "f2", "f3"])
 TASKIDS = st.sampled_from([-7, 0, 100, 200])
 SIZES = st.sampled_from([500, 1000])
 DATASETS = st.sampled_from(["ds", "ds2"])
+STATUSES = st.sampled_from(["finished", "failed"])
+#: no error, three mapped families, and one code outside ERROR_FAMILIES
+ERROR_CODES = st.sampled_from([0, 1099, 1201, 1361, 4242])
 
 
 @st.composite
 def degraded_windows(draw):
     """Small windows exercising the nasty cases: jobs with no endtime,
     zero/negative/foreign task ids, blank and UNKNOWN sites, duplicate
-    LFNs and duplicate transfer row ids."""
+    LFNs and duplicate transfer row ids, failed jobs with error codes."""
     jobs, files, transfers = [], [], []
     for i in range(draw(st.integers(1, 4))):
         tid = draw(TASKIDS)
@@ -199,6 +202,8 @@ def degraded_windows(draw):
             end=draw(st.one_of(st.none(), st.floats(0.0, 5000.0, allow_nan=False))),
             nin=draw(st.sampled_from([0, 1000, 1500, 2000])),
             nout=draw(st.sampled_from([0, 1000])),
+            status=draw(STATUSES),
+            error_code=draw(ERROR_CODES),
         ))
         for _ in range(draw(st.integers(0, 3))):
             files.append(make_file(
@@ -234,6 +239,15 @@ class TestParity:
 
     def test_jobs_without_candidates(self):
         assert_engines_agree([make_job()], [], [make_transfer(jeditaskid=0)])
+
+    def test_duplicate_job_records(self):
+        """A job record ingested twice matches twice, but each
+        (pandaid, row_id) pair counts once."""
+        job, files, transfers = matching_triple()
+        assert_engines_agree([job, job], files, transfers)
+        res = ColumnarIndex([job, job], files, transfers).run(ExactMatcher(KNOWN), 3)
+        assert len(res.matches) == 2
+        assert res.matched_pairs() == [(1, 1), (1, 2), (1, 3)]
 
     @given(degraded_windows())
     @settings(max_examples=60, deadline=None)

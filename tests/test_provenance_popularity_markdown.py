@@ -173,6 +173,14 @@ class TestMarkdownReport:
         md = build_markdown_report(tmp_path)
         assert "## zz_custom" in md
 
+    def test_artifact_without_experiment_key_is_titled_by_file_stem(self, tmp_path):
+        import json
+        (tmp_path / "scale_ladder.json").write_text(
+            json.dumps({"paper": {"x": 1}, "measured": {"x": 2}}))
+        md = build_markdown_report(tmp_path)
+        assert "## scale_ladder" in md
+        assert "## unknown" not in md
+
     def test_write_report(self, tmp_path):
         self._write_artifact(tmp_path, "fig2_growth")
         out = tmp_path / "report.md"
