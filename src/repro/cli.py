@@ -56,11 +56,6 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
         help="processes for the matching executor (1 = serial; results "
              "are identical either way)")
     p.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="partition the jobs/transfers time indices into N shards "
-             "so window queries touch only overlapped slices "
-             "(0 = unsharded; results are identical either way)")
-    p.add_argument(
         "--obs", action="store_true",
         help="collect spans and metrics while running and print a "
              "per-stage summary to stderr (results are unaffected)")
@@ -80,10 +75,8 @@ def _study(args) -> EightDayStudy:
     cfg = EightDayConfig(seed=args.seed, days=args.days, intensity=args.intensity)
     obs = Obs.collecting() if getattr(args, "obs", False) else None
     args.obs_bundle = obs
-    shards = getattr(args, "shards", 0) or 0
-    shard_seconds = (args.days * 86400.0 / shards) if shards > 0 else None
     print(f"simulating {args.days:g} days (seed {args.seed}) ...", file=sys.stderr)
-    return EightDayStudy(cfg, obs=obs, shard_seconds=shard_seconds).run()
+    return EightDayStudy(cfg, obs=obs).run()
 
 
 def _matchers(args, study: EightDayStudy):

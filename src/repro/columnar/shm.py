@@ -115,11 +115,7 @@ class PackArchive:
         :class:`ExportError` when the source cannot be represented —
         callers treat that as "use the pickle path".
         """
-        from repro.metastore.packsource import (
-            DEFAULT_SHARD_SECONDS,
-            PackSource,
-            lower_sidecar,
-        )
+        from repro.metastore.packsource import PackSource, lower_sidecar
 
         with get_obs().tracer.span("columnar.shm_export", cat="columnar") as sp:
             try:
@@ -137,10 +133,7 @@ class PackArchive:
                 except Exception as exc:
                     raise ExportError(f"cannot lower sidecar columns: {exc}") from exc
                 ps = PackSource(
-                    packs,
-                    sidecar,
-                    shard_seconds=getattr(source, "shard_seconds", DEFAULT_SHARD_SECONDS),
-                    generation=getattr(source, "generation", 0),
+                    packs, sidecar, generation=getattr(source, "generation", 0)
                 )
 
             root = Path(directory) if directory is not None else spool_root()

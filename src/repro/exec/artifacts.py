@@ -2,10 +2,12 @@
 
 Materializing a :class:`~repro.exec.plan.WindowPlan` is the expensive
 half of the §4.2 workflow: three metastore queries (jobs, transfers,
-and one *batched* file lookup), the window's column packs, and the
-Algorithm-1 join.  Every matcher — Exact, RM1, RM2, RM3, subset — only
-ever reads these artifacts, so one materialization serves all methods
-and every analysis that replays the same window.
+and one *batched* file lookup) that the source's ``materialize_window``
+evaluates to id arrays, the window's column packs gathered from the
+source's full-table lowering by those ids, and the Algorithm-1 join.
+Every matcher — Exact, RM1, RM2, RM3, subset — only ever reads these
+artifacts, so one materialization serves all methods and every
+analysis that replays the same window.
 
 The join is :class:`~repro.columnar.engine.ColumnarIndex`, built lazily
 on first use over the window's packs.  A matcher whose predicates its
@@ -31,17 +33,6 @@ from repro.core.matching.base import BaseMatcher, MatchingReport, MatchResult
 from repro.exec.plan import WindowPlan
 from repro.obs import get_obs
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
-
-
-def _batched_files(source, pandaids: Sequence[int]) -> List[FileRecord]:
-    """One query for all jobs' file rows; per-job fallback for bare sources."""
-    batched = getattr(source, "files_of_jobs", None)
-    if batched is not None:
-        return batched(pandaids)
-    out: List[FileRecord] = []
-    for pid in pandaids:
-        out.extend(source.files_of_job(pid))
-    return out
 
 
 class WindowArtifacts:
@@ -82,29 +73,18 @@ class WindowArtifacts:
 
     @classmethod
     def materialize(cls, source, plan: WindowPlan) -> "WindowArtifacts":
-        """Run the pre-selection queries and lower the window's packs.
+        """Run the pre-selection queries and cut the window's packs.
 
-        Sources exposing ``materialize_window`` (the id-array fast path
-        of :class:`~repro.metastore.opensearch.OpenSearchLike` and
-        :class:`~repro.metastore.packsource.PackSource`) hand back
-        packs cut from their full-table lowering by pure NumPy gathers;
-        any other source gets its window records lowered here, once.
+        ``source.materialize_window`` (implemented by both
+        :class:`~repro.metastore.opensearch.OpenSearchLike` and
+        :class:`~repro.metastore.packsource.PackSource`) evaluates the
+        window to id arrays and hands back the records plus packs cut
+        from the source's full-table lowering by pure NumPy gathers.
         """
-        generation = getattr(source, "generation", 0)
-        fast = getattr(source, "materialize_window", None)
-        if fast is not None:
-            jobs, files, transfers, columns = fast(plan.t0, plan.t1, plan.user_jobs_only)
-        else:
-            if plan.user_jobs_only:
-                jobs = source.user_jobs_completed_in(plan.t0, plan.t1)
-            else:
-                jobs = source.jobs_completed_in(plan.t0, plan.t1)
-            transfers = source.transfers_started_in(plan.t0, plan.t1)
-            files = _batched_files(source, [j.pandaid for j in jobs])
-            columns = WindowColumns.lower(
-                jobs, files, transfers, getattr(source, "interner", None)
-            )
-        return cls(plan, generation, jobs, files, transfers, columns)
+        jobs, files, transfers, columns = source.materialize_window(
+            plan.t0, plan.t1, plan.user_jobs_only
+        )
+        return cls(plan, source.generation, jobs, files, transfers, columns)
 
 
 def match_artifacts(matcher: BaseMatcher, artifacts: WindowArtifacts) -> MatchResult:

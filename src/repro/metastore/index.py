@@ -99,11 +99,6 @@ class FieldIndex:
         self._dirty = False
         self._pending.clear()
 
-    @property
-    def is_numeric(self) -> bool:
-        """Whether every value seen so far supports range scans."""
-        return self._numeric
-
     # -- lookups -------------------------------------------------------------
 
     def term(self, value: Any) -> Set[int]:

@@ -5,6 +5,14 @@ framework-based querying module" that retrieves job metadata from PanDA
 and file/transfer metadata from Rucio for a common time window.  This
 façade reproduces that surface: ingest the degraded telemetry, then ask
 for jobs completed in a window and transfers started in a window.
+
+It is the record store behind the campaign, stream and serve paths,
+and the reference the array-native
+:class:`~repro.metastore.packsource.PackSource` is checked against.
+Each field keeps one sorted column over its whole collection; window
+queries cut it with two ``searchsorted`` calls.  It is deliberately
+not time-sharded: a partitioned variant made bulk ingest and the match
+pass slower at campaign scale, for identical reports (DESIGN §11).
 """
 
 from __future__ import annotations
@@ -47,32 +55,11 @@ class OpenSearchLike:
         "is_upload", "starttime", "endtime", "jeditaskid", "success",
     )
 
-    def __init__(
-        self,
-        shard_seconds: Optional[float] = None,
-        shard_policies: Optional[dict] = None,
-    ) -> None:
-        # Time-sliced sharding (DESIGN §11): jobs partition on the field
-        # their window preselection ranges over (endtime), transfers on
-        # theirs (starttime).  Files are looked up by pandaid, which has
-        # no useful time order — they stay unsharded unless the caller
-        # supplies a policy explicitly.
-        policies = dict(shard_policies or {})
-        if shard_seconds:
-            from repro.metastore.sharding import TimeShardPolicy
-
-            policies.setdefault("jobs", TimeShardPolicy("endtime", shard_seconds))
-            policies.setdefault("transfers", TimeShardPolicy("starttime", shard_seconds))
+    def __init__(self) -> None:
         self.store = DocumentStore()
-        self.jobs: Collection = self.store.create(
-            "jobs", self.JOB_FIELDS, policy=policies.get("jobs")
-        )
-        self.files: Collection = self.store.create(
-            "files", self.FILE_FIELDS, policy=policies.get("files")
-        )
-        self.transfers: Collection = self.store.create(
-            "transfers", self.TRANSFER_FIELDS, policy=policies.get("transfers")
-        )
+        self.jobs: Collection = self.store.create("jobs", self.JOB_FIELDS)
+        self.files: Collection = self.store.create("files", self.FILE_FIELDS)
+        self.transfers: Collection = self.store.create("transfers", self.TRANSFER_FIELDS)
         #: Shared dictionary encoding for the columnar kernels.  Warmed
         #: once at ingest (see :meth:`warm_interner`), so every window
         #: lowering afterwards reuses stable codes instead of growing a
@@ -82,13 +69,8 @@ class OpenSearchLike:
         self._packs_generation = -1
 
     @classmethod
-    def from_telemetry(
-        cls,
-        telemetry: DegradedTelemetry,
-        shard_seconds: Optional[float] = None,
-        shard_policies: Optional[dict] = None,
-    ) -> "OpenSearchLike":
-        os_like = cls(shard_seconds=shard_seconds, shard_policies=shard_policies)
+    def from_telemetry(cls, telemetry: DegradedTelemetry) -> "OpenSearchLike":
+        os_like = cls()
         os_like.jobs.ingest(telemetry.jobs)
         os_like.files.ingest(telemetry.files)
         os_like.transfers.ingest(telemetry.transfers)
@@ -269,13 +251,6 @@ class OpenSearchLike:
     def generation(self) -> int:
         """Data version of the underlying store (cache-invalidation key)."""
         return self.store.generation
-
-    def shard_counts(self) -> dict:
-        """Shards per collection (1 for unsharded collections)."""
-        return {
-            name: getattr(self.store.collection(name), "n_shards", 1)
-            for name in self.store.names()
-        }
 
     def search(self, collection: str, query: Query, description: str = "") -> SearchResult:
         with get_obs().tracer.span("metastore.search", cat="metastore") as sp:

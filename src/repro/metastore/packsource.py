@@ -205,9 +205,19 @@ class _TimeShards:
         return len(self.shards)
 
     def route(self, t0: float, t1: float) -> List[int]:
-        """Shard keys overlapping [t0, t1), in key order."""
+        """Shard keys that may hold a value in [t0, t1), in key order.
+
+        The lower cut keys ``t0`` with the same ``floor_divide`` that
+        keyed the values, so a value exactly at ``t0`` is never routed
+        past (the float product ``(k + 1) * s`` can round down onto a
+        value that ``floor_divide`` put in shard ``k``).  The upper cut
+        ``k * s < t1`` is exact as it stands: ``k * s`` never rounds
+        above a value of shard ``k``.  Infinite bounds stay unkeyed,
+        since ``floor_divide`` of an infinity is NaN.
+        """
         s = self.slice_seconds
-        return sorted(k for k in self.shards if (k + 1) * s > t0 and k * s < t1)
+        lo = float(np.floor_divide(t0, s)) if math.isfinite(t0) else t0
+        return sorted(k for k in self.shards if lo <= k and k * s < t1)
 
     def ids_in(self, t0: float, t1: float, collection: str = "") -> np.ndarray:
         """Global row ids with value in [t0, t1), id-sorted.

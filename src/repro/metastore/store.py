@@ -1,8 +1,11 @@
 """Document store.
 
 Documents are plain dataclass instances (or dicts); fields are indexed
-lazily on first ingestion.  One store holds many named collections —
-the analysis uses ``jobs``, ``files``, and ``transfers``.
+lazily on first ingestion, each by one :class:`FieldIndex` over the
+whole collection — the store does not partition its indices (the
+time-sharded index is :class:`~repro.metastore.packsource.PackSource`'s).
+One store holds many named collections — the analysis uses ``jobs``,
+``files``, and ``transfers``.
 """
 
 from __future__ import annotations
@@ -41,13 +44,12 @@ class Collection:
 
     def ingest(self, docs: Iterable[Any]) -> int:
         self.generation += 1
+        indices = self._indices
         n = 0
         for doc in docs:
             doc_id = len(self._docs)
             self._docs.append(doc)
-            mapping = _as_mapping(doc)
-            indices = self._indices_for(mapping)
-            for fld, value in mapping.items():
+            for fld, value in _as_mapping(doc).items():
                 if self._indexed_fields is not None and fld not in self._indexed_fields:
                     continue
                 if not isinstance(value, (str, int, float, bool)) and value is not None:
@@ -55,15 +57,6 @@ class Collection:
                 indices.setdefault(fld, FieldIndex(fld)).add(doc_id, value)
             n += 1
         return n
-
-    def _indices_for(self, mapping: Dict[str, Any]) -> Dict[str, FieldIndex]:
-        """Index table a document's fields land in.
-
-        The unsharded collection has exactly one; ``ShardedCollection``
-        overrides this to route each document to the shard its key
-        field selects.
-        """
-        return self._indices
 
     def append(self, docs: Iterable[Any]) -> int:
         """Ingest a micro-batch and re-freeze incrementally.
@@ -150,28 +143,11 @@ class DocumentStore:
     def __init__(self) -> None:
         self._collections: Dict[str, Collection] = {}
 
-    def create(
-        self,
-        name: str,
-        indexed_fields: Optional[Sequence[str]] = None,
-        policy: Optional[Any] = None,
-    ) -> Collection:
-        """Create a collection; pass a shard ``policy`` to partition it.
-
-        With a policy (see :mod:`repro.metastore.sharding`) the
-        collection's field indices are partitioned by the policy's key
-        field and window queries route to only the shards they overlap.
-        Query semantics are identical either way.
-        """
+    def create(self, name: str, indexed_fields: Optional[Sequence[str]] = None) -> Collection:
+        """Create an empty collection; names are unique per store."""
         if name in self._collections:
             raise ValueError(f"collection exists: {name}")
-        if policy is not None:
-            from repro.metastore.sharding import ShardedCollection
-
-            col: Collection = ShardedCollection(name, indexed_fields, policy=policy)
-        else:
-            col = Collection(name, indexed_fields)
-        self._collections[name] = col
+        col = self._collections[name] = Collection(name, indexed_fields)
         return col
 
     def collection(self, name: str) -> Collection:

@@ -73,11 +73,9 @@ class EightDayStudy:
         self,
         config: Optional[EightDayConfig] = None,
         obs: Optional[Obs] = None,
-        shard_seconds: Optional[float] = None,
     ) -> None:
         self.config = config or EightDayConfig()
         self.obs = obs
-        self.shard_seconds = shard_seconds
         self.harness = SimulationHarness(self.config.harness_config())
         self._source: Optional[OpenSearchLike] = None
         self._pipeline: Optional[MatchingPipeline] = None
@@ -99,9 +97,7 @@ class EightDayStudy:
         if self._source is None:
             with use_obs(self.obs) as obs:
                 with obs.tracer.span("study.ingest", cat="study"):
-                    self._source = OpenSearchLike.from_telemetry(
-                        self.telemetry, shard_seconds=self.shard_seconds
-                    )
+                    self._source = OpenSearchLike.from_telemetry(self.telemetry)
         return self._source
 
     @property

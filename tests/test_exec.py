@@ -113,19 +113,6 @@ class TestArtifactCache:
         with pytest.raises(ValueError):
             ArtifactCache(tiny_source(), max_entries=0)
 
-    def test_per_job_fallback_for_bare_sources(self):
-        """Sources without files_of_jobs still materialize correctly."""
-        source = tiny_source()
-
-        class Bare:
-            generation = 0
-            user_jobs_completed_in = source.user_jobs_completed_in
-            transfers_started_in = source.transfers_started_in
-            files_of_job = source.files_of_job
-
-        artifacts = ArtifactCache(Bare()).get(WindowPlan(0.0, 10_000.0))
-        assert len(artifacts.files) == 3
-
 
 def _report_fingerprint(report):
     """Everything the parity requirement names, per method."""

@@ -1,12 +1,15 @@
-"""Tests for the sharded metastore (time-sliced field indices).
+"""Shard-parity tests for the one time-sharded index (``PackSource``).
 
-The load-bearing requirement is that sharding is a *representation*
-change, never a semantic one: window materialization, matching reports,
-and streaming accumulated state must be bit-identical for shard counts
-{1, 2, 7} — including windows that straddle shard boundaries.  The
-hypothesis suite drives exactly that property over random populations;
-the unit tests cover routing, ingest placement, incremental freeze,
-and the query-surface parity of the facade index.
+``PackSource`` partitions job endtimes and transfer starttimes into
+per-slice sorted ``(values, ids)`` shards.  The load-bearing
+requirement is that sharding is a *representation* change, never a
+semantic one: at slice widths of one, one half and one seventh of the
+window, window materialization and match reports must equal the
+unsharded record store's (``OpenSearchLike``), and the streaming
+replay must equal the batch report at every width — including windows
+that straddle shard seams.  The hypothesis suite drives that property
+over random populations; the unit tests cover key assignment, routing,
+and tail-shard appends.
 """
 
 from __future__ import annotations
@@ -14,21 +17,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.index import FieldIndex
 from repro.metastore.opensearch import OpenSearchLike
-from repro.metastore.query import Bool, Range, Term
-from repro.metastore.sharding import (
-    NULL_SHARD,
-    ShardedCollection,
-    SiteShardPolicy,
-    TimeShardPolicy,
-)
-from repro.metastore.store import Collection
+from repro.metastore.packsource import PackSource, _TimeShards
 from repro.stream import EventLog, StreamProcessor
 from repro.telemetry.degradation import DegradedTelemetry
 from repro.telemetry.groundtruth import GroundTruth
@@ -37,176 +31,51 @@ from tests.helpers import make_file, make_job, make_transfer
 
 WINDOW = 7 * 86400.0
 KNOWN_SITES = {"SITE-A", "SITE-B"}
-#: The satellite requirement: parity across 1, 2, and 7 time shards.
-SHARD_SECONDS = (None, WINDOW / 2, WINDOW / 7)
+#: Slice widths giving 1, 2 and 7 shards over the window.
+SHARD_SECONDS = (WINDOW, WINDOW / 2, WINDOW / 7)
 
 
-# -- policies ---------------------------------------------------------------------
-
-
-class TestTimeShardPolicy:
-    def test_shard_key_floors_by_slice(self):
-        p = TimeShardPolicy("endtime", 100.0)
-        assert p.shard_key(0.0) == 0
-        assert p.shard_key(99.9) == 0
-        assert p.shard_key(100.0) == 1
-        assert p.shard_key(250) == 2
-        assert p.shard_key(-1.0) == -1
-
-    def test_non_numeric_values_land_in_null_shard(self):
-        p = TimeShardPolicy("endtime", 100.0)
-        assert p.shard_key(None) == NULL_SHARD
-        assert p.shard_key(float("nan")) == NULL_SHARD
-        assert p.shard_key("soon") == NULL_SHARD
-        assert p.shard_key(True) == NULL_SHARD  # bools are not timestamps
-
-    def test_slice_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeShardPolicy("endtime", 0.0)
-
-    def test_route_range_returns_overlapped_run(self):
-        p = TimeShardPolicy("endtime", 100.0)
-        keys = [0, 1, 2, 3, NULL_SHARD]
-        assert p.route_range(keys, gte=150.0, lt=250.0) == [1, 2]
-        # Boundary value 200.0 lives in shard 2 only, but gte=200 must
-        # not drop shard 2; lt=200 must not include it spuriously.
-        assert p.route_range(keys, gte=200.0, lt=400.0) == [2, 3]
-        assert 0 not in p.route_range(keys, gte=100.0, lt=300.0)
-
-    def test_route_range_unbounded_sides(self):
-        p = TimeShardPolicy("endtime", 100.0)
-        keys = [0, 1, 2]
-        assert p.route_range(keys, lt=150.0) == [0, 1]
-        assert p.route_range(keys, gte=150.0) == [1, 2]
-        assert p.route_range(keys) == [0, 1, 2]
-
-    def test_route_range_never_includes_null_shard(self):
-        # None key-field values never enter the key-field index, so the
-        # null shard has nothing a range on that field could return.
-        p = TimeShardPolicy("endtime", 100.0)
-        assert NULL_SHARD not in p.route_range([0, NULL_SHARD], gte=-math.inf)
-
-    def test_route_term(self):
-        p = TimeShardPolicy("endtime", 100.0)
-        assert p.route_term([0, 1, 2], 150.0) == [1]
-        assert p.route_term([0, 2], 150.0) == []
-
-
-class TestSiteShardPolicy:
-    def test_term_routes_to_one_shard(self):
-        p = SiteShardPolicy("computingsite")
-        assert p.route_term(["SITE-A", "SITE-B"], "SITE-B") == ["SITE-B"]
-        assert p.route_term(["SITE-A"], "SITE-X") == []
-
-    def test_range_fans_out(self):
-        p = SiteShardPolicy("computingsite")
-        assert p.route_range(["SITE-A", "SITE-B", NULL_SHARD]) == ["SITE-A", "SITE-B"]
-
-    def test_empty_or_non_string_is_null(self):
-        p = SiteShardPolicy("computingsite")
-        assert p.shard_key("") == NULL_SHARD
-        assert p.shard_key(None) == NULL_SHARD
-
-
-# -- sharded collection -----------------------------------------------------------
-
-
-def _jobs(*ends):
+def _jobs(*ends, first_pandaid=1):
     return [
-        make_job(pandaid=i + 1, jeditaskid=100 + i, end=e, site="SITE-A")
+        make_job(pandaid=first_pandaid + i, jeditaskid=100 + i, end=e, site="SITE-A")
         for i, e in enumerate(ends)
     ]
 
 
-def _pair(slice_seconds=100.0):
-    """The same docs in a plain and a sharded collection."""
-    docs = _jobs(10.0, 50.0, 150.0, 250.0, None)
-    plain = Collection("jobs", ("pandaid", "endtime", "computingsite"))
-    sharded = ShardedCollection(
-        "jobs",
-        ("pandaid", "endtime", "computingsite"),
-        policy=TimeShardPolicy("endtime", slice_seconds),
-    )
-    plain.ingest(docs)
-    sharded.ingest(docs)
-    plain.freeze()
-    sharded.freeze()
-    return plain, sharded
+# -- key assignment and routing ---------------------------------------------------
 
 
-class TestShardedCollection:
-    def test_requires_policy(self):
-        with pytest.raises(ValueError):
-            ShardedCollection("jobs", ("endtime",), policy=None)
+class TestTimeShards:
+    def test_shard_key_floors_by_slice(self):
+        shards = _TimeShards(np.array([0.0, 99.9, 100.0, 250.0, -1.0]), 100.0).shards
+        assert sorted(shards) == [-1, 0, 1, 2]
+        assert shards[0][1].tolist() == [0, 1]
+        assert shards[1][1].tolist() == [2]
+        assert shards[2][1].tolist() == [3]
+        assert shards[-1][1].tolist() == [4]
 
-    def test_ingest_partitions_by_key(self):
-        _, sharded = _pair()
-        # endtimes 10/50 -> shard 0, 150 -> 1, 250 -> 2, None -> null
-        assert sharded.n_shards == 4
-        assert sharded.shard_keys() == [0, 1, 2, NULL_SHARD]
+    def test_nan_values_are_not_indexed(self):
+        # NaN stands for a missing timestamp (``None`` on the record),
+        # which no range query can return.
+        shards = _TimeShards(np.array([np.nan, 50.0, np.nan]), 100.0)
+        assert sorted(shards.shards) == [0]
+        assert shards.ids_in(-math.inf, math.inf).tolist() == [1]
 
-    def test_docs_keep_global_ids(self):
-        plain, sharded = _pair()
-        assert len(sharded) == len(plain)
-        assert [sharded.get(i).pandaid for i in range(len(sharded))] == [
-            plain.get(i).pandaid for i in range(len(plain))
-        ]
+    def test_route_range_returns_overlapped_run(self):
+        shards = _TimeShards(np.array([10.0, 150.0, 250.0, 350.0]), 100.0)
+        assert shards.route(150.0, 250.0) == [1, 2]
+        # Boundary value 200.0 lives in shard 2 only, but t0=200 must
+        # not drop shard 2; t1=200 must not include it spuriously.
+        assert shards.route(200.0, 400.0) == [2, 3]
+        assert shards.route(100.0, 200.0) == [1]
 
-    def test_range_parity_and_routing(self):
-        plain, sharded = _pair()
-        q = Range("endtime", gte=40.0, lt=200.0)
-        assert set(sharded.search_ids(q).tolist()) == set(plain.search_ids(q).tolist())
-        # search_ids output stays value-sorted like the plain collection
-        assert sharded.search_ids(q).tolist() == plain.search_ids(q).tolist()
-
-    def test_term_parity_on_key_and_non_key_fields(self):
-        plain, sharded = _pair()
-        for q in (Term("endtime", 150.0), Term("computingsite", "SITE-A"),
-                  Term("pandaid", 3)):
-            assert set(sharded.search_ids(q).tolist()) == set(
-                plain.search_ids(q).tolist()
-            )
-
-    def test_bool_query_parity(self):
-        plain, sharded = _pair()
-        q = Bool(must=[Range("endtime", gte=0.0, lt=260.0),
-                       Term("computingsite", "SITE-A")])
-        assert sorted(sharded.search_ids(q).tolist()) == sorted(
-            plain.search_ids(q).tolist()
-        )
-
-    def test_facade_surface_parity(self):
-        plain, sharded = _pair()
-        pi, si = plain.field_index("endtime"), sharded.field_index("endtime")
-        assert si.term(150.0) == pi.term(150.0)
-        assert si.terms([10.0, 250.0]) == pi.terms([10.0, 250.0])
-        assert si.range(gte=40.0, lte=250.0) == pi.range(gte=40.0, lte=250.0)
-        assert si.exists() == pi.exists()
-        assert si.cardinality == pi.cardinality
-        assert si.is_numeric and pi.is_numeric
-
-    def test_facade_is_cached_and_live(self):
-        _, sharded = _pair()
-        idx = sharded.field_index("endtime")
-        assert sharded.field_index("endtime") is idx
-        before = idx.range(gte=0.0)
-        sharded.append(_jobs(999.0))
-        sharded.freeze()
-        assert len(idx.range(gte=0.0)) == len(before) + 1
-
-    def test_range_on_non_numeric_field_raises(self):
-        _, sharded = _pair()
-        with pytest.raises(TypeError):
-            sharded.field_index("computingsite").range_ids(gte=0.0)
-
-    def test_tail_append_does_not_rebuild_earlier_shards(self):
-        _, sharded = _pair()
-        before = FieldIndex.full_builds
-        sharded.append(_jobs(260.0, 270.0))  # both land in shard 2
-        sharded.freeze()
-        grown = FieldIndex.full_builds - before
-        # Only shard 2's indices re-sort; shards 0/1/null stay frozen.
-        assert grown <= len(("pandaid", "endtime", "computingsite"))
+    def test_route_range_unbounded_sides(self):
+        shards = _TimeShards(np.array([10.0, 150.0, 250.0]), 100.0)
+        assert shards.route(-math.inf, 150.0) == [0, 1]
+        assert shards.route(150.0, math.inf) == [1, 2]
+        assert shards.route(-math.inf, math.inf) == [0, 1, 2]
+        assert shards.route(math.inf, math.inf) == []
+        assert shards.route(-math.inf, -math.inf) == []
 
 
 # -- population strategy ----------------------------------------------------------
@@ -266,13 +135,17 @@ def window(draw):
     return t0, t1
 
 
-def _sources(jobs, files, transfers):
-    out = []
-    for shard_seconds in SHARD_SECONDS:
-        src = OpenSearchLike(shard_seconds=shard_seconds)
-        src.ingest_batch(jobs=jobs, files=files, transfers=transfers)
-        out.append(src)
-    return out
+def _reference(jobs, files, transfers) -> OpenSearchLike:
+    ref = OpenSearchLike()
+    ref.ingest_batch(jobs=jobs, files=files, transfers=transfers)
+    return ref
+
+
+def _pack_sources(jobs, files, transfers):
+    return [
+        PackSource.from_records(jobs, files, transfers, shard_seconds=w)
+        for w in SHARD_SECONDS
+    ]
 
 
 # -- the parity property ----------------------------------------------------------
@@ -283,15 +156,14 @@ class TestShardParity:
     @settings(max_examples=40, deadline=None)
     def test_window_materialization_is_identical(self, pop, win):
         t0, t1 = win
-        base, *rest = _sources(*pop)
-        jobs, files, transfers, columns = base.materialize_window(t0, t1)
-        for src in rest:
+        jobs, files, transfers, columns = _reference(*pop).materialize_window(t0, t1)
+        for src in _pack_sources(*pop):
             got_jobs, got_files, got_transfers, got_columns = (
                 src.materialize_window(t0, t1)
             )
-            assert got_jobs == jobs
-            assert got_files == files
-            assert got_transfers == transfers
+            assert list(got_jobs) == jobs
+            assert list(got_files) == files
+            assert list(got_transfers) == transfers
             assert np.array_equal(got_columns.jobs.pandaid, columns.jobs.pandaid)
             assert np.array_equal(got_columns.transfers.row_id,
                                   columns.transfers.row_id)
@@ -300,12 +172,9 @@ class TestShardParity:
     @settings(max_examples=25, deadline=None)
     def test_match_reports_are_identical(self, pop, win):
         t0, t1 = win
-        reports = [
-            MatchingPipeline(src, known_sites=KNOWN_SITES).run(t0, t1)
-            for src in _sources(*pop)
-        ]
-        base, *rest = reports
-        for r in rest:
+        base = MatchingPipeline(_reference(*pop), known_sites=KNOWN_SITES).run(t0, t1)
+        for src in _pack_sources(*pop):
+            r = MatchingPipeline(src, known_sites=KNOWN_SITES).run(t0, t1)
             for m in base.methods:
                 assert r[m].matched_pairs() == base[m].matched_pairs()
                 assert r[m] == base[m]
@@ -318,37 +187,39 @@ class TestShardParity:
         telemetry = DegradedTelemetry(jobs, files, transfers,
                                       ground_truth=GroundTruth())
         log = EventLog.from_telemetry(telemetry, 0.0, WINDOW)
-        procs = []
-        for shard_seconds in SHARD_SECONDS:
-            proc = StreamProcessor(
-                0.0, WINDOW, known_sites=KNOWN_SITES,
-                source=OpenSearchLike(shard_seconds=shard_seconds),
-            )
-            proc.run(log.micro_batches(batch_seconds=WINDOW / 5))
-            procs.append(proc)
-        base, *rest = procs
-        for proc in rest:
-            assert proc.report() == base.report()
+        proc = StreamProcessor(0.0, WINDOW, known_sites=KNOWN_SITES)
+        proc.run(log.micro_batches(batch_seconds=WINDOW / 5))
+        streamed = proc.report()
+        for src in _pack_sources(*pop):
+            batch = MatchingPipeline(src, known_sites=KNOWN_SITES).run(0.0, WINDOW)
+            assert streamed == batch
 
     def test_shard_counts_reports_partitioning(self):
-        jobs, files, transfers = (
+        src = PackSource.from_records(
             _jobs(10.0, WINDOW / 2 + 10.0),
             [make_file(pandaid=1)],
             [make_transfer(row_id=1, start=10.0)],
+            shard_seconds=WINDOW / 2,
         )
-        src = OpenSearchLike(shard_seconds=WINDOW / 2)
-        src.ingest_batch(jobs=jobs, files=files, transfers=transfers)
         counts = src.shard_counts()
         assert counts["jobs"] == 2
-        assert counts["files"] == 1  # files stay unsharded
+        assert counts["files"] == 1  # files are looked up by pandaid, unsharded
         assert counts["transfers"] == 1
 
     def test_sharded_ingest_lands_in_tail_shard_only(self):
-        src = OpenSearchLike(shard_seconds=100.0)
-        src.ingest_batch(
-            jobs=_jobs(10.0, 150.0), files=[], transfers=[]
+        src = PackSource.from_records(
+            _jobs(10.0, 150.0), [], [make_transfer(row_id=1, start=20.0)],
+            shard_seconds=100.0,
         )
-        before = FieldIndex.full_builds
-        src.ingest_batch(jobs=_jobs(180.0), files=[], transfers=[])
-        grown = FieldIndex.full_builds - before
-        assert grown <= len(OpenSearchLike.JOB_FIELDS)
+        jobs_before = dict(src._job_shards.shards)
+        transfers_before = dict(src._transfer_shards.shards)
+        src.append_records(jobs=_jobs(180.0, first_pandaid=3))
+        after = src._job_shards.shards
+        assert sorted(after) == [0, 1]
+        assert after[0][0] is jobs_before[0][0]
+        assert after[0][1] is jobs_before[0][1]
+        assert after[1][1].tolist() == [1, 2]  # the tail shard took the row
+        assert all(
+            src._transfer_shards.shards[k] is v for k, v in transfers_before.items()
+        )
+        assert [j.pandaid for j in src.jobs_completed_in(100.0, 200.0)] == [2, 3]

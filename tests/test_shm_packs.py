@@ -57,14 +57,12 @@ PLAN = WindowPlan(0.0, 10_000.0)
 
 
 class _RecordsOnly:
-    """The per-record query surface of a source, without column packs."""
+    """The window query surface of a source, without full-table packs."""
 
     def __init__(self, inner: OpenSearchLike) -> None:
         self.inner = inner
         self.generation = inner.generation
-        self.user_jobs_completed_in = inner.user_jobs_completed_in
-        self.transfers_started_in = inner.transfers_started_in
-        self.files_of_jobs = inner.files_of_jobs
+        self.materialize_window = inner.materialize_window
 
 
 # -- export / attach --------------------------------------------------------------

@@ -5,12 +5,17 @@ indexes, sharded PackSource searchsorted cuts, event-log trimming, and
 stream ingest — must agree on the half-open convention ``[t0, t1)``:
 records exactly at t0 are IN, records exactly at t1 are OUT.  These
 tests pin that agreement with records placed exactly on the
-boundaries (and, for the sharded source, exactly on shard seams).
+boundaries (and, for the sharded source, exactly on shard seams, where
+a float product ``(k + 1) * slice`` can round onto a record's value).
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metastore.opensearch import OpenSearchLike
 from repro.metastore.packsource import PackSource
@@ -82,6 +87,65 @@ def test_sharded_pack_source_matches_convention():
     jobs, _, transfers, _ = source.materialize_window(T0, T1)
     assert {j.pandaid for j in jobs} == EXPECTED
     assert {t.row_id for t in transfers} == EXPECTED
+
+
+def _reference(jobs, transfers) -> OpenSearchLike:
+    source = OpenSearchLike()
+    source.ingest_batch(jobs=jobs, transfers=transfers)
+    return source
+
+
+@pytest.mark.parametrize(
+    "slice_seconds, value",
+    [
+        (0.1, 0.5),  # 0.5 // 0.1 == 4, but 5 * 0.1 == 0.5
+        (0.5 * 86400 / 7, 3 * (0.5 * 86400 / 7)),  # half a day in 7 slices
+    ],
+)
+def test_pack_source_keeps_a_record_exactly_at_t0(slice_seconds, value):
+    # floor_divide keys ``value`` into shard k while (k + 1) * slice
+    # rounds down onto ``value``; routing must not skip shard k for a
+    # window that starts at ``value``.
+    jobs = [make_job(pandaid=1, end=value)]
+    transfers = [make_transfer(row_id=1, start=value)]
+    source = PackSource.from_records(jobs, [], transfers, shard_seconds=slice_seconds)
+    reference = _reference(jobs, transfers)
+    t0, t1 = value, value + slice_seconds
+    assert [j.pandaid for j in reference.jobs_completed_in(t0, t1)] == [1]
+    assert [j.pandaid for j in source.jobs_completed_in(t0, t1)] == [1]
+    assert [t.row_id for t in source.transfers_started_in(t0, t1)] == [1]
+
+
+@st.composite
+def seam_population(draw):
+    """A slice width and record times, many of them float products
+    ``m * width`` — the values rounding can put on a shard seam."""
+    width = draw(st.floats(min_value=1e-3, max_value=1e5,
+                           allow_nan=False, allow_infinity=False))
+    times = draw(st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=64).map(lambda m: m * width),
+            st.floats(min_value=0.0, max_value=64 * width,
+                      allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return width, times
+
+
+@given(seam_population(), st.integers(min_value=0), st.floats(min_value=0.0, max_value=8.0))
+@settings(max_examples=200, deadline=None)
+def test_window_starting_on_a_record_matches_reference(pop, pick, span):
+    width, times = pop
+    jobs = [make_job(pandaid=i + 1, end=t) for i, t in enumerate(times)]
+    transfers = [make_transfer(row_id=i + 1, start=t) for i, t in enumerate(times)]
+    source = PackSource.from_records(jobs, [], transfers, shard_seconds=width)
+    reference = _reference(jobs, transfers)
+    t0 = times[pick % len(times)]
+    t1 = t0 + span * width
+    assert list(source.jobs_completed_in(t0, t1)) == reference.jobs_completed_in(t0, t1)
+    assert (list(source.transfers_started_in(t0, t1))
+            == reference.transfers_started_in(t0, t1))
 
 
 def test_event_log_trim_matches_convention():
