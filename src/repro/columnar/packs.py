@@ -48,15 +48,6 @@ class _PackRows:
             return self
         return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields})
 
-    def gather(self, rows: np.ndarray):
-        """Like :meth:`take` but for arbitrary (unsorted, repeatable)
-        row orders — no identity shortcut, so the output rows are in
-        exactly the order asked for.  The streaming delta matcher cuts
-        micro-batch packs in event-sequence order, which need not be
-        storage order."""
-        fields = dataclasses.fields(self)
-        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields})
-
     def concat(self, other):
         """A new pack with ``other``'s rows appended (same field set).
 
@@ -221,20 +212,6 @@ class WindowColumns:
             jobs=self.jobs.take(job_rows),
             files=self.files.take(file_rows),
             transfers=self.transfers.take(transfer_rows),
-        )
-
-    def gather(
-        self,
-        job_rows: np.ndarray,
-        file_rows: np.ndarray,
-        transfer_rows: np.ndarray,
-    ) -> "WindowColumns":
-        """Cut columns in an arbitrary row order (no sortedness contract)."""
-        return WindowColumns(
-            interner=self.interner,
-            jobs=self.jobs.gather(job_rows),
-            files=self.files.gather(file_rows),
-            transfers=self.transfers.gather(transfer_rows),
         )
 
     def extend(

@@ -17,12 +17,14 @@ import numpy as np
 class FieldIndex:
     """Index over one field of one collection.
 
-    Built once after bulk ingestion (``freeze``); lookups before
-    freezing fall back to the hash index only.  Appends after the first
-    freeze merge into the sorted column instead of rebuilding it — the
-    streaming ingest path (:meth:`Collection.append`) freezes once per
-    micro-batch, so a full re-sort there would make ingest quadratic
-    over a run.
+    A :class:`~repro.metastore.store.Collection` builds one from its
+    documents on the first query that reads the field and freezes it
+    before publishing it.  Appends after that merge into the sorted
+    column instead of rebuilding it — ingest re-freezes every built
+    index once per micro-batch, so a full re-sort there would make
+    ingest quadratic over a run.  A range query on an index with
+    unfrozen adds freezes it first (standalone use only: a published
+    index is always frozen, so its lookups never write).
     """
 
     #: Process-wide count of full sorted-column rebuilds.  Incremental
@@ -42,7 +44,8 @@ class FieldIndex:
         #: column once per batch, not once per query.
         self._dirty: bool = False
         #: (value, doc_id) pairs added since the last freeze — the
-        #: delta an incremental freeze merges into the frozen arrays.
+        #: delta an incremental freeze merges into the frozen arrays
+        #: (empty until a sorted column exists to merge into).
         self._pending: List[tuple] = []
 
     @staticmethod
@@ -60,7 +63,7 @@ class FieldIndex:
         if self._numeric and not self._is_numeric(value):
             self._numeric = False
             self._pending.clear()
-        if self._numeric:
+        if self._numeric and self._values is not None:
             self._pending.append((value, doc_id))
         self._dirty = True
 
@@ -127,7 +130,7 @@ class FieldIndex:
         """
         if not self._numeric:
             raise TypeError(f"field {self.name!r} is not numeric; range query invalid")
-        if self._values is None or self._dirty:
+        if self._dirty:
             self.freeze()
         if self._values is None:  # empty index
             return np.empty(0, dtype=np.int64)

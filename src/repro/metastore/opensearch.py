@@ -9,8 +9,9 @@ for jobs completed in a window and transfers started in a window.
 It is the record store behind the campaign, stream and serve paths,
 and the reference the array-native
 :class:`~repro.metastore.packsource.PackSource` is checked against.
-Each field keeps one sorted column over its whole collection; window
-queries cut it with two ``searchsorted`` calls.  It is deliberately
+Each queried field keeps one sorted column over its whole collection,
+built on the first query that reads it; window queries cut it with two
+``searchsorted`` calls.  It is deliberately
 not time-sharded: a partitioned variant made bulk ingest and the match
 pass slower at campaign scale, for identical reports (DESIGN §11).
 """
@@ -74,7 +75,6 @@ class OpenSearchLike:
         os_like.jobs.ingest(telemetry.jobs)
         os_like.files.ingest(telemetry.files)
         os_like.transfers.ingest(telemetry.transfers)
-        os_like.store.freeze()
         os_like.warm_interner()
         return os_like
 
@@ -114,16 +114,18 @@ class OpenSearchLike:
         files: Sequence[FileRecord] = (),
         transfers: Sequence[TransferRecord] = (),
     ) -> int:
-        """Append a telemetry micro-batch; all derived state stays hot.
+        """Append a telemetry micro-batch; the derived state in use stays hot.
 
-        The streaming ingest primitive: each collection appends with an
-        incremental index re-freeze (``Collection.append``), the delta
-        strings warm the shared interner, and — when the full-table
-        column packs were already lowered — only the delta records are
-        lowered and concatenated onto them.  The store generation bumps
-        with every non-empty append, so ``ArtifactCache`` entries and
-        persistent worker pools keyed on it invalidate exactly as they
-        would for a bulk ingest.
+        The streaming ingest primitive: each collection appends, and
+        only the field indices some query already built merge the delta
+        (``Collection.ingest``); the delta strings warm the shared
+        interner; and — when the full-table column packs were already
+        lowered — only the delta records are lowered and concatenated
+        onto them.  A caller that never queries (the stream's own
+        store) therefore pays O(batch) per append.  The store
+        generation bumps with every non-empty append, so
+        ``ArtifactCache`` entries and persistent worker pools keyed on
+        it invalidate exactly as they would for a bulk ingest.
         """
         jobs, files, transfers = list(jobs), list(files), list(transfers)
         obs = get_obs()
@@ -131,11 +133,11 @@ class OpenSearchLike:
             had_packs = self._packs is not None
             n = 0
             if jobs:
-                n += self.jobs.append(jobs)
+                n += self.jobs.ingest(jobs)
             if files:
-                n += self.files.append(files)
+                n += self.files.ingest(files)
             if transfers:
-                n += self.transfers.append(transfers)
+                n += self.transfers.ingest(transfers)
             self._warm(jobs, files, transfers)
             if n and had_packs:
                 self._packs = self._packs.extend(jobs, files, transfers)

@@ -1,17 +1,19 @@
 """Document store.
 
-Documents are plain dataclass instances (or dicts); fields are indexed
-lazily on first ingestion, each by one :class:`FieldIndex` over the
+Documents are plain dataclass instances (or dicts); a field is indexed
+on the first query that reads it, by one :class:`FieldIndex` over the
 whole collection — the store does not partition its indices (the
 time-sharded index is :class:`~repro.metastore.packsource.PackSource`'s).
-One store holds many named collections — the analysis uses ``jobs``,
-``files``, and ``transfers``.
+Ingest keeps only the indices already built current, so an append no
+query reads costs O(batch).  One store holds many named collections —
+the analysis uses ``jobs``, ``files``, and ``transfers``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from functools import lru_cache
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -20,22 +22,37 @@ from repro.metastore.query import Query
 from repro.obs import SIZE_BUCKETS, get_obs
 
 
-def _as_mapping(doc: Any) -> Dict[str, Any]:
-    if dataclasses.is_dataclass(doc) and not isinstance(doc, type):
-        # shallow: we only index top-level scalar fields
-        return {f.name: getattr(doc, f.name) for f in dataclasses.fields(doc)}
-    if isinstance(doc, dict):
-        return doc
-    raise TypeError(f"cannot ingest document of type {type(doc)!r}")
+@lru_cache(maxsize=None)  # keyed by document type: a handful per process
+def _field_names(cls: type) -> Optional[FrozenSet[str]]:
+    """Top-level field names of a dataclass type; None for dicts."""
+    if dataclasses.is_dataclass(cls):
+        return frozenset(f.name for f in dataclasses.fields(cls))
+    if issubclass(cls, dict):
+        return None
+    raise TypeError(f"cannot ingest document of type {cls!r}")
+
+
+def _value(doc: Any, fld: str) -> Any:
+    """``doc``'s top-level ``fld`` when it is a scalar, else None."""
+    names = _field_names(type(doc))
+    value = doc.get(fld) if names is None else getattr(doc, fld) if fld in names else None
+    return value if isinstance(value, (str, int, float, bool)) else None
 
 
 class Collection:
-    """One indexed collection of documents."""
+    """One collection of documents, each field indexed on demand.
+
+    The first query that reads a field builds its :class:`FieldIndex`
+    and publishes it complete and frozen.  Readers never mutate a
+    published index, so readers racing a first build (the serving
+    layer's shared read lock) each build the same index and the first
+    one published wins.
+    """
 
     def __init__(self, name: str, indexed_fields: Optional[Sequence[str]] = None) -> None:
         self.name = name
         self._docs: List[Any] = []
-        self._indices: Dict[str, FieldIndex] = {}
+        self._indices: Dict[str, FieldIndex] = {}  # built indices only
         self._indexed_fields = set(indexed_fields) if indexed_fields else None
         #: Bumped on every ingest batch; cache layers key materialized
         #: artifacts on it so stale results can never be served after
@@ -43,48 +60,41 @@ class Collection:
         self.generation = 0
 
     def ingest(self, docs: Iterable[Any]) -> int:
-        self.generation += 1
-        indices = self._indices
-        n = 0
+        """Append documents; only the built indices merge them (see
+        ``FieldIndex.freeze``), so unqueried fields cost nothing here."""
+        docs = list(docs)
         for doc in docs:
-            doc_id = len(self._docs)
-            self._docs.append(doc)
-            for fld, value in _as_mapping(doc).items():
-                if self._indexed_fields is not None and fld not in self._indexed_fields:
-                    continue
-                if not isinstance(value, (str, int, float, bool)) and value is not None:
-                    continue
-                indices.setdefault(fld, FieldIndex(fld)).add(doc_id, value)
-            n += 1
-        return n
-
-    def append(self, docs: Iterable[Any]) -> int:
-        """Ingest a micro-batch and re-freeze incrementally.
-
-        The streaming ingest primitive: equivalent to
-        ``ingest(docs); freeze()`` but each touched :class:`FieldIndex`
-        merges only the delta into its sorted column (see
-        ``FieldIndex.freeze``), so appending stays O(delta log n)
-        instead of re-sorting the whole collection per batch.  The
-        generation bump from :meth:`ingest` invalidates every cache
-        layer keyed on it.
-        """
-        n = self.ingest(docs)
-        self.freeze()
-        return n
-
-    def freeze(self) -> None:
-        for idx in self._indices.values():
+            _field_names(type(doc))  # rejects what cannot be indexed
+        base = len(self._docs)
+        self._docs.extend(docs)
+        self.generation += 1
+        for fld, idx in self._indices.items():
+            for doc_id, doc in enumerate(docs, base):
+                idx.add(doc_id, _value(doc, fld))
             idx.freeze()
+        return len(docs)
 
     def field_index(self, name: str) -> FieldIndex:
+        """The field's index, built from the documents on first use.
+
+        A field outside ``indexed_fields`` behaves like an empty index
+        (OpenSearch semantics: no documents match) and is never built.
+        """
         idx = self._indices.get(name)
-        if idx is None:
-            # Unknown field: behave like an empty index (OpenSearch
-            # semantics: no documents match).
+        if idx is not None:
+            return idx
+        if self._indexed_fields is not None and name not in self._indexed_fields:
+            return FieldIndex(name)
+        docs = self._docs
+        with get_obs().tracer.span("metastore.build_index", cat="metastore") as sp:
             idx = FieldIndex(name)
-            self._indices[name] = idx
-        return idx
+            for doc_id, doc in enumerate(docs):
+                idx.add(doc_id, _value(doc, name))
+            idx.freeze()
+            sp.set("collection", self.name)
+            sp.set("field", name)
+            sp.set("n_docs", len(docs))
+        return self._indices.setdefault(name, idx)
 
     def all_ids(self) -> Set[int]:
         return set(range(len(self._docs)))
@@ -170,7 +180,3 @@ class DocumentStore:
         cache key for derived artifacts (see ``repro.exec``).
         """
         return sum(col.generation for col in self._collections.values())
-
-    def freeze(self) -> None:
-        for col in self._collections.values():
-            col.freeze()

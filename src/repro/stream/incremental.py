@@ -12,7 +12,8 @@ filters the columnar kernels lower (Exact, RM1, RM2).
 How parity survives arbitrary delivery orders and batch sizes:
 
 * records are appended to an :class:`OpenSearchLike` through
-  ``ingest_batch`` (incremental index freeze + pack extension), but all
+  ``ingest_batch`` — which, since the stream never queries that store,
+  builds no field index and extends no column pack — but all
   *matching* order is keyed on each event's source sequence number,
   never on arrival order;
 * a job only closes once the transfer watermark passes its endtime, so
@@ -22,8 +23,9 @@ How parity survives arbitrary delivery orders and batch sizes:
 * each close builds a delta :class:`ColumnarIndex` over exactly the
   closed jobs (sequence order), their file rows (per-job snapshot
   order), and the sequence-sorted union of their key-matching
-  transfers, cut from the full-table packs — the same kernels as the
-  batch pipeline, over the same per-job candidate enumeration order;
+  transfers, lowered from the records the matcher already holds
+  through the store's shared interner — the same kernels as the batch
+  pipeline, over the same per-job candidate enumeration order;
 * final results re-assemble each method's accumulated matches in job
   sequence order, which is exactly the batch window's job order.
 """
@@ -32,11 +34,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.columnar.engine import ColumnarIndex, supports_columnar
 from repro.core.matching.base import BaseMatcher, JobMatch, MatchingReport, MatchResult
@@ -47,8 +48,9 @@ from repro.stream.folds import FoldSet
 from repro.stream.log import EventKind, EventLog, StreamEvent
 from repro.stream.metrics import StreamMetrics, _MetricsAccumulator
 from repro.stream.watermark import WatermarkTracker
-from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
 from repro.window import in_window
+
+_SEQ = attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,6 @@ class MatchDelta:
         return {m: len(v) for m, v in self.matches.items()}
 
 
-@dataclass
-class _PendingJob:
-    """A job whose window has not closed yet."""
-
-    seq: int
-    pos: int  # doc position in the stream store's jobs collection
-    record: JobRecord
-    #: (within-job order, doc position, record) per PanDA file row
-    files: List[Tuple[int, int, FileRecord]] = field(default_factory=list)
-
-
 class IncrementalMatcher:
     """Per-strategy incremental state for one analysis window."""
 
@@ -123,10 +114,11 @@ class IncrementalMatcher:
                 )
         self.source = source if source is not None else OpenSearchLike()
         self.user_jobs_only = user_jobs_only
-        self._pending: Dict[int, _PendingJob] = {}
+        #: job seq -> the job event of a window that has not closed yet
+        self._pending: Dict[int, StreamEvent] = {}
         self._heap: List[Tuple[float, int]] = []  # (endtime, job seq)
-        #: (jeditaskid, lfn) -> [(transfer seq, doc position)], seq-sorted
-        self._tkey: Dict[Tuple[int, str], List[Tuple[int, int]]] = {}
+        #: (jeditaskid, lfn) -> transfer events, seq-sorted
+        self._tkey: Dict[Tuple[int, str], List[StreamEvent]] = {}
         #: method -> {job seq -> JobMatch}, the accumulated final state
         self._final: Dict[str, Dict[int, JobMatch]] = {m.name: {} for m in self.matchers}
         self.n_jobs = 0
@@ -141,53 +133,42 @@ class IncrementalMatcher:
         Window/label filtering mirrors the batch pre-selection: jobs
         must end inside [t0, t1) (and carry the user label when
         ``user_jobs_only``), transfers must start inside it.  Accepted
-        records append to the store in one ``ingest_batch``; pending
-        state records their doc positions for later delta cuts.
+        events stay in the pending state, keyed by sequence, for later
+        delta closes, and their records append to the store in one
+        ``ingest_batch``.
         """
-        jobs: List[Tuple[int, JobRecord, Tuple[FileRecord, ...]]] = []
-        transfers: List[Tuple[int, TransferRecord]] = []
+        jobs: List[StreamEvent] = []
+        transfers: List[StreamEvent] = []
         for e in events:
             if e.kind is EventKind.TRANSFER:
                 t = e.record
                 if not in_window(t.starttime, self.t0, self.t1):
                     continue
-                transfers.append((e.seq, t))
+                transfers.append(e)
             else:
                 j = e.record
                 if j.endtime is None or not in_window(j.endtime, self.t0, self.t1):
                     continue
                 if self.user_jobs_only and j.prodsourcelabel != "user":
                     continue
-                jobs.append((e.seq, j, e.files))
+                jobs.append(e)
 
-        job_base = len(self.source.jobs)
-        file_base = len(self.source.files)
-        transfer_base = len(self.source.transfers)
         self.source.ingest_batch(
-            jobs=[j for _, j, _ in jobs],
-            files=[f for _, _, fs in jobs for f in fs],
-            transfers=[t for _, t in transfers],
+            jobs=[e.record for e in jobs],
+            files=[f for e in jobs for f in e.files],
+            transfers=[e.record for e in transfers],
         )
 
-        fpos = file_base
-        for i, (seq, j, fs) in enumerate(jobs):
-            entries = []
-            for k, f in enumerate(fs):
-                entries.append((k, fpos, f))
-                fpos += 1
-            self._pending[seq] = _PendingJob(
-                seq=seq, pos=job_base + i, record=j, files=entries
-            )
-            heapq.heappush(self._heap, (j.endtime, seq))
+        for e in jobs:
+            self._pending[e.seq] = e
+            heapq.heappush(self._heap, (e.record.endtime, e.seq))
         self.n_jobs += len(jobs)
 
         times: List[float] = []
-        for i, (seq, t) in enumerate(transfers):
+        for e in transfers:
+            t = e.record
             if t.jeditaskid > 0:  # joinable, and the has_jeditaskid count
-                insort(
-                    self._tkey.setdefault((t.jeditaskid, t.lfn), []),
-                    (seq, transfer_base + i),
-                )
+                insort(self._tkey.setdefault((t.jeditaskid, t.lfn), []), e, key=_SEQ)
                 self.n_transfers_with_taskid += 1
             self.n_transfers += 1
             times.append(t.starttime)
@@ -204,6 +185,11 @@ class IncrementalMatcher:
         (jeditaskid, lfn) key with any of their files — a superset cut
         that preserves the batch join's candidate enumeration order
         exactly, so the kernels produce the batch pipeline's matches.
+        It lowers those records through the store's shared interner,
+        so a close costs O(closing jobs + their candidates), whatever
+        the store holds.  Each match maps back to its job's sequence
+        through its row in the delta index, so two closing jobs sharing
+        one record object stay two matches.
         """
         ready: List[int] = []
         while self._heap and self._heap[0][0] <= watermark:
@@ -218,48 +204,50 @@ class IncrementalMatcher:
         # any method — close it without building kernel input at all.
         # Candidate enumeration is per job (its own file keys), so
         # excluding candidate-less jobs cannot change anyone's matches.
-        active: List[_PendingJob] = []
-        cand: List[Tuple[int, int]] = []
-        seen_tpos: set = set()
+        # Each transfer sits under exactly one key, so taking every key
+        # once takes every candidate transfer once.
+        active: List[StreamEvent] = []
+        cand: List[StreamEvent] = []
+        seen_keys: set = set()
         for p in closing:
             taskid = p.record.jeditaskid
             found = False
-            for _, _, frec in p.files:
+            for frec in p.files:
                 if frec.jeditaskid != taskid:
                     continue
-                for pair in self._tkey.get((taskid, frec.lfn), ()):
+                key = (taskid, frec.lfn)
+                run = self._tkey.get(key)
+                if run:
                     found = True
-                    if pair[1] not in seen_tpos:
-                        seen_tpos.add(pair[1])
-                        cand.append(pair)
+                    if key not in seen_keys:
+                        seen_keys.add(key)
+                        cand.extend(run)
             if found:
                 active.append(p)
         if not active:
             return len(closing), {m.name: [] for m in self.matchers}
 
-        job_rows = np.array([p.pos for p in active], dtype=np.int64)
-        job_recs = [p.record for p in active]
-        file_rows_list: List[int] = []
-        file_recs: List[FileRecord] = []
-        for p in active:
-            for _, fpos, frec in p.files:
-                file_rows_list.append(fpos)
-                file_recs.append(frec)
-        cand.sort()  # transfer sequence order == batch storage order
-        file_rows = np.array(file_rows_list, dtype=np.int64)
-        transfer_rows = np.array([pos for _, pos in cand], dtype=np.int64)
-        transfer_recs = self.source.transfers.take(transfer_rows)
+        cand.sort(key=_SEQ)  # transfer sequence order == batch storage order
+        index = ColumnarIndex(
+            [p.record for p in active],
+            [f for p in active for f in p.files],
+            [e.record for e in cand],
+            interner=self.source.interner,
+        )
 
-        columns = self.source.column_packs().gather(job_rows, file_rows, transfer_rows)
-        index = ColumnarIndex(job_recs, file_recs, transfer_recs, columns=columns)
-
-        seq_of = {id(p.record): p.seq for p in active}
         out: Dict[str, List[Finalized]] = {}
         for matcher in self.matchers:
             res = index.run(matcher, n_transfers_considered=0)
-            finalized = [
-                Finalized(seq=seq_of[id(jm.job)], match=jm) for jm in res.matches
-            ]
+            # Matches come at most one per job row, in row order, so each
+            # belongs to the next row holding its record.  Rows sharing
+            # one record object have identical candidates and outcomes.
+            finalized: List[Finalized] = []
+            row = 0
+            for jm in res.matches:
+                while active[row].record is not jm.job:
+                    row += 1
+                finalized.append(Finalized(seq=active[row].seq, match=jm))
+                row += 1
             self._final[matcher.name].update(
                 (f.seq, f.match) for f in finalized
             )

@@ -68,7 +68,6 @@ class TestEmptyPopulations:
 
     def test_pipeline_on_empty_store(self):
         source = OpenSearchLike()
-        source.store.freeze()
         report = MatchingPipeline(source).run(0.0, 100.0)
         assert report.n_jobs == 0
         assert all(report[m].n_matched_jobs == 0 for m in report.methods)

@@ -35,7 +35,6 @@ def tiny_source() -> OpenSearchLike:
     source.jobs.ingest([job])
     source.files.ingest(files)
     source.transfers.ingest(transfers)
-    source.store.freeze()
     return source
 
 
@@ -94,7 +93,6 @@ class TestArtifactCache:
         job2 = make_job(pandaid=2, jeditaskid=200)
         source.jobs.ingest([job2])
         source.files.ingest([make_file(pandaid=2, jeditaskid=200, lfn="g0")])
-        source.store.freeze()
 
         fresh = cache.get(plan)
         assert fresh is not stale
@@ -278,7 +276,6 @@ class TestPersistentPool:
             job2, files2, _ = matching_triple()
             job2 = make_job(pandaid=999_999, creation=1.0, start=2.0, end=3.0)
             source.jobs.ingest([job2])
-            source.store.freeze()
             after = ex.execute(source, [plan])[0]
             assert ex.pool_inits == 2
             assert after.n_jobs >= before.n_jobs

@@ -75,7 +75,6 @@ class TestQueryDSL:
             make_job(pandaid=2, site="B", end=200.0),
             make_job(pandaid=3, site="A", end=300.0, status="failed"),
         ])
-        c.freeze()
         return c
 
     def test_term(self, col):
@@ -161,7 +160,6 @@ class TestOpenSearchLike:
             make_transfer(row_id=1, start=50.0, jeditaskid=9),
             make_transfer(row_id=2, start=500.0, jeditaskid=0),
         ])
-        os_like.store.freeze()
         return os_like
 
     def test_jobs_completed_in_window(self, os_like):

@@ -323,7 +323,6 @@ def _ingest(jobs, files, transfers) -> OpenSearchLike:
     source.jobs.ingest(jobs)
     source.files.ingest(files)
     source.transfers.ingest(transfers)
-    source.store.freeze()
     source.warm_interner()
     return source
 

@@ -12,7 +12,13 @@ the building blocks (event log, watermark, incremental index freeze,
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching.base import BaseMatcher
+from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec import ArtifactCache, WindowPlan, default_matchers
 from repro.grid.presets import build_mini
 from repro.metastore.index import FieldIndex
 from repro.metastore.opensearch import OpenSearchLike
 from repro.metastore.query import Range
+from repro.obs import Obs, use_obs
 from repro.scenarios.runtime import HarnessConfig, SimulationHarness
 from repro.stream import (
     EventKind,
@@ -33,11 +41,12 @@ from repro.stream import (
     StreamingCollector,
     StreamProcessor,
     WatermarkTracker,
+    replay_window,
 )
 from repro.workload.generator import WorkloadConfig
 
 from tests import oracle
-from tests.helpers import make_file, make_job, make_transfer
+from tests.helpers import make_file, make_job, make_transfer, matching_triple
 
 # -- shared material --------------------------------------------------------------
 #
@@ -258,7 +267,6 @@ def _bulk_source(jobs=(), files=(), transfers=()) -> OpenSearchLike:
     source.jobs.ingest(jobs)
     source.files.ingest(files)
     source.transfers.ingest(transfers)
-    source.store.freeze()
     source.warm_interner()
     return source
 
@@ -271,25 +279,33 @@ class TestIncrementalFreeze:
         source.transfers.search(Range("starttime", gte=0.0, lt=100.0))
         before = FieldIndex.full_builds
         for i in range(10, 20):
-            source.transfers.append([transfers[i]])
+            source.transfers.ingest([transfers[i]])
             source.transfers.search(Range("starttime", gte=0.0, lt=100.0))
         assert FieldIndex.full_builds == before
 
     def test_incremental_range_parity_with_bulk(self):
+        """Wherever the first query lands — before any append, midway,
+        or only after the last one — the index it builds and every
+        append merged into it answer like a bulk-built index."""
         rng = random.Random(5)
         starts = [rng.uniform(0.0, 1000.0) for _ in range(200)]
         # duplicates exercise the equal-value doc-id ordering
         starts[50:60] = [starts[0]] * 10
         transfers = [make_transfer(row_id=i, start=s) for i, s in enumerate(starts)]
-
+        queries = [
+            Range("starttime", gte=lo, lt=hi)
+            for lo, hi in [(0.0, 1000.0), (100.0, 400.0), (starts[0], starts[0] + 1e-9)]
+        ]
         bulk = _bulk_source(transfers=transfers)
-        inc = _bulk_source(transfers=transfers[:37])
-        for i in range(37, 200, 13):
-            inc.transfers.append(transfers[i : i + 13])
-
-        for lo, hi in [(0.0, 1000.0), (100.0, 400.0), (starts[0], starts[0] + 1e-9)]:
-            q = Range("starttime", gte=lo, lt=hi)
-            assert inc.transfers.search(q) == bulk.transfers.search(q)
+        cuts = list(range(37, 200, 13))
+        for first_query in (0, len(cuts) // 2, len(cuts)):
+            inc = _bulk_source(transfers=transfers[:37])
+            for k, i in enumerate(cuts):
+                if k == first_query:
+                    inc.transfers.search(queries[1])
+                inc.transfers.ingest(transfers[i : i + 13])
+            for q in queries:
+                assert inc.transfers.search(q) == bulk.transfers.search(q)
 
     def test_non_numeric_flip_still_correct(self):
         idx = FieldIndex("x")
@@ -304,7 +320,7 @@ class TestIncrementalFreeze:
     def test_append_bumps_generation(self):
         source = _bulk_source(transfers=[make_transfer(row_id=1)])
         gen = source.generation
-        source.transfers.append([make_transfer(row_id=2)])
+        source.transfers.ingest([make_transfer(row_id=2)])
         assert source.generation > gen
 
 
@@ -313,22 +329,33 @@ class TestIngestBatch:
         return [seq[i : i + n] for i in range(0, len(seq), n)]
 
     def test_matches_bulk_ingest(self, live_harness):
+        """The first query may come before any batch, midway, or only
+        after the last: the answers equal the bulk store's each time."""
         tele = live_harness.telemetry()
         bulk = OpenSearchLike.from_telemetry(tele)
-        inc = OpenSearchLike()
-        for jobs, files, transfers in zip(
+        t0, t1 = live_harness.window
+        pandaids = [j.pandaid for j in bulk.user_jobs_completed_in(t0, t1)]
+
+        def answers(source):
+            return (
+                source.user_jobs_completed_in(t0, t1),
+                source.transfers_started_in(t0, t1),
+                source.files_of_jobs(pandaids),
+            )
+
+        expected = answers(bulk)
+        batches = list(zip(
             self._chunks(tele.jobs, 7) + [[]] * 99,
             self._chunks(tele.files, 19) + [[]] * 99,
             self._chunks(tele.transfers, 23) + [[]] * 99,
-        ):
-            inc.ingest_batch(jobs=jobs, files=files, transfers=transfers)
-
-        t0, t1 = live_harness.window
-        assert inc.user_jobs_completed_in(t0, t1) == bulk.user_jobs_completed_in(t0, t1)
-        assert inc.transfers_started_in(t0, t1) == bulk.transfers_started_in(t0, t1)
-        assert inc.files_of_jobs(
-            [j.pandaid for j in bulk.user_jobs_completed_in(t0, t1)]
-        ) == bulk.files_of_jobs([j.pandaid for j in bulk.user_jobs_completed_in(t0, t1)])
+        ))
+        for first_query in (0, len(batches) // 2, len(batches)):
+            inc = OpenSearchLike()
+            for k, (jobs, files, transfers) in enumerate(batches):
+                if k == first_query:
+                    answers(inc)
+                inc.ingest_batch(jobs=jobs, files=files, transfers=transfers)
+            assert answers(inc) == expected
 
     def test_extends_packs_in_place(self):
         source = _bulk_source(transfers=[make_transfer(row_id=1, start=1.0)])
@@ -375,6 +402,95 @@ class TestIngestBatch:
         assert fresh is not stale
         assert len(fresh.jobs) == 2
         assert cache.misses == 2
+
+
+# -- field indices on demand ------------------------------------------------------
+
+
+def _assert_packs_equal(a, b):
+    for name in ("jobs", "files", "transfers"):
+        pa, pb = getattr(a, name), getattr(b, name)
+        for f in dataclasses.fields(pa):
+            np.testing.assert_array_equal(getattr(pa, f.name), getattr(pb, f.name))
+
+
+class TestOnDemandIndex:
+    def test_replay_builds_no_index_and_lowers_no_packs(
+        self, live_harness, live_log, live_batch
+    ):
+        """The stream never queries its store, so a replay builds no
+        field index and never lowers the full-table packs."""
+        before = FieldIndex.full_builds
+        bundle = Obs.collecting()
+        with use_obs(bundle):
+            proc = _stream(
+                live_harness, None, live_log.micro_batches(batch_seconds=2 * 3600.0)
+            )
+        assert proc.report() == live_batch
+        source = proc.source
+        assert len(source.transfers) > 0
+        for col in (source.jobs, source.files, source.transfers):
+            assert col._indices == {}
+        assert FieldIndex.full_builds == before
+        names = {s.name for s in bundle.tracer.spans}
+        assert "metastore.ingest_batch" in names
+        assert "metastore.lower_packs" not in names
+        assert "metastore.build_index" not in names
+
+    def test_first_query_builds_once_in_a_span(self):
+        transfers = [make_transfer(row_id=i, start=float(i)) for i in range(5)]
+        source = _bulk_source(transfers=transfers)
+        bundle = Obs.collecting()
+        with use_obs(bundle):
+            source.transfers_started_in(0.0, 3.0)
+            source.transfers_started_in(1.0, 4.0)
+        builds = [
+            (s.cat, s.attrs["collection"], s.attrs["field"], s.attrs["n_docs"])
+            for s in bundle.tracer.spans if s.name == "metastore.build_index"
+        ]
+        assert builds == [("metastore", "transfers", "starttime", 5)]
+
+    def test_racing_first_materialize_is_identical(self, live_harness):
+        """Eight readers race the first window query on a fresh store:
+        every one sees the answer a single reader gets."""
+        tele = live_harness.telemetry()
+        t0, t1 = live_harness.window
+        expected = OpenSearchLike.from_telemetry(tele).materialize_window(t0, t1)
+        source = OpenSearchLike.from_telemetry(tele)
+        barrier = threading.Barrier(8, timeout=30)
+
+        def first_query():
+            barrier.wait()
+            return source.materialize_window(t0, t1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(first_query) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for *records, packs in results:
+            assert tuple(records) == expected[:3]
+            _assert_packs_equal(packs, expected[3])
+
+    def test_pickle_round_trip_after_queries(self, live_harness):
+        tele = live_harness.telemetry()
+        t0, t1 = live_harness.window
+        source = OpenSearchLike.from_telemetry(tele)
+        answer = source.materialize_window(t0, t1)
+        assert source.jobs._indices  # the query built indices
+        clone = pickle.loads(pickle.dumps(source))
+        again = clone.materialize_window(t0, t1)
+        assert again[:3] == answer[:3]
+        _assert_packs_equal(again[3], answer[3])
+        # the clone's built indices keep merging later appends
+        late = make_job(pandaid=10**9, end=t0 + 1.0)
+        for s in (source, clone):
+            s.ingest_batch(jobs=[late])
+        assert clone.user_jobs_completed_in(t0, t1) == source.user_jobs_completed_in(t0, t1)
+        assert late in clone.user_jobs_completed_in(t0, t1)
 
 
 # -- collector window query -------------------------------------------------------
@@ -469,6 +585,17 @@ class TestStreamingParity:
             proc.process([])
         with pytest.raises(RuntimeError):
             proc.finish()
+
+    def test_duplicate_job_records_stay_two_matches(self):
+        """One job record object ingested twice closes as two jobs, as
+        in the batch report (see test_columnar's duplicate case)."""
+        job, files, transfers = matching_triple()
+        tele = SimpleNamespace(jobs=[job, job], files=files + files, transfers=transfers)
+        t0, t1 = 0.0, 10_000.0
+        batch = MatchingPipeline(OpenSearchLike.from_telemetry(tele)).run(t0, t1)
+        assert [len(batch[m].matches) for m in batch.methods] == [2, 2, 2]
+        proc = replay_window(tele, t0, t1, batch_seconds=50.0)
+        assert proc.report() == batch
 
     def test_rejects_non_columnar_matcher(self):
         class Weird(BaseMatcher):
