@@ -30,7 +30,7 @@ from repro.core.matching import (
 )
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.core.matching.subset import SubsetMatcher
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 
 #: Degradation multipliers for the precision/recall ladder: half,
 #: nominal (§4.3 as configured), and double severity.
@@ -127,7 +127,7 @@ def _severity_ladder(eightday) -> dict:
             np.random.default_rng(harness.config.seed + 17),
         )
         tele = degrader.degrade(harness.collector, harness.panda.tasks)
-        source = OpenSearchLike.from_telemetry(tele)
+        source = PackSource.from_records(tele.jobs, tele.files, tele.transfers)
         jobs = source.user_jobs_completed_in(t0, t1)
         transfers = source.transfers_started_in(t0, t1)
 

@@ -81,11 +81,10 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
     # how many cores the host actually has — process spawn + source
     # pickling can swamp this small workload on a 1-core box — so the
     # multi-worker runs assert identical output above and record timing.
-    # Floor: the FieldIndex refreeze fix made each materialization much
-    # cheaper, which shrank the naive side (3x more materializations)
-    # disproportionately; the structural guarantee is the build-count
-    # assertion above, the wall-clock floor just catches gross
-    # regressions.
+    # Floor: materialization is cheap next to the join, which shrinks
+    # the naive side (3x more materializations) disproportionately;
+    # the structural guarantee is the build-count assertion above, the
+    # wall-clock floor just catches gross regressions.
     if workers == 1:
         assert speedup >= 1.2, (
             f"sweep executor must beat per-run rebuilds: {speedup:.2f}x "

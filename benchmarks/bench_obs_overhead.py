@@ -19,7 +19,7 @@ from conftest import write_comparison
 
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec import growing_plans, run_analyses
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.obs import Obs, use_obs
 
 N_PLANS = 4
@@ -37,7 +37,9 @@ def _run_once(telemetry, known, window, obs):
     w0, w1 = window
     t0 = time.perf_counter()
     with use_obs(obs):
-        source = OpenSearchLike.from_telemetry(telemetry)
+        source = PackSource.from_records(
+            telemetry.jobs, telemetry.files, telemetry.transfers
+        )
         pipeline = MatchingPipeline(source, known_sites=known)
         plans = growing_plans(w0, w1, n_points=N_PLANS)
         reports = pipeline.sweep(plans)

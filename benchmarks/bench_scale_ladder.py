@@ -22,9 +22,10 @@ from conftest import write_comparison
 
 from repro.exec.executor import ParallelExecutor
 from repro.exec.plan import WindowPlan
-from repro.metastore.opensearch import OpenSearchLike
 from repro.scenarios.scale import run_rung
 from repro.workload.scale import ScaleConfig, synthesize
+
+from tests.oracle import RecordSource
 
 RUNG = 36_000
 #: ~1/4 of the serial columnar throughput on a 1-core dev box; a rung
@@ -79,14 +80,13 @@ def test_shm_seeding_beats_repickling(results_dir):
     ds = synthesize(ScaleConfig(n_jobs=RUNG))
     plan = WindowPlan(*ds.window)
 
-    # The pre-refactor baseline: the same window as a record-based
-    # store, pickled whole into each worker's initializer.
+    # The pre-refactor baseline: the same window as plain record
+    # lists, pickled whole into each worker's initializer.
     src = ds.source
-    ref = OpenSearchLike()
-    ref.ingest_batch(
-        jobs=[src.job_record(i) for i in range(ds.n_jobs)],
-        files=[src.file_record(i) for i in range(ds.n_files)],
-        transfers=[src.transfer_record(i) for i in range(ds.n_transfers)],
+    ref = RecordSource(
+        [src.job_record(i) for i in range(ds.n_jobs)],
+        [src.file_record(i) for i in range(ds.n_files)],
+        [src.transfer_record(i) for i in range(ds.n_transfers)],
     )
 
     ctx = mp.get_context("spawn")

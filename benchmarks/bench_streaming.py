@@ -7,16 +7,14 @@ fresh :class:`MatchingPipeline` full re-match of everything so far.
 The streaming dataplane instead closes each job's window once it falls
 behind the watermark and matches only the delta (``repro.stream``).
 
-The two paths' ``ingest_batch`` costs differ.  The store builds a
-field index on the first query that reads it and extends its
-full-table column packs only once something has lowered them.  The
-naive path queries its store after every batch, so each append keeps
-the four indices its window query reads (job ``endtime`` and
-``prodsourcelabel``, file ``pandaid``, transfer ``starttime``) and the
-lowered packs current.  The stream never queries its store, so its
-appends build no index and extend no pack.  The match-speedup gate
-compares only the time spent keeping the match state current; the
-end-to-end gate compares whole per-batch latencies, ingest included.
+The two paths ingest differently.  The naive path appends each batch
+to a :class:`PackSource`: the delta is lowered onto its column packs
+and merged into its time shards and file-pandaid index, which its
+window query then cuts.  The stream holds no store; it keeps accepted
+events in its pending state and lowers only each close's delta.  The
+match-speedup gate compares only the time spent keeping the match
+state current; the end-to-end gate compares whole per-batch latencies,
+ingest included.
 
 Gates enforced here, beyond recording the numbers:
 
@@ -34,7 +32,7 @@ import time
 from conftest import write_comparison
 
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.scenarios.eightday import EightDayConfig, EightDayStudy
 from repro.stream import EventKind, EventLog, StreamProcessor
 
@@ -63,7 +61,7 @@ def _run_naive(study, batches):
     costs without incremental state."""
     t0, t1 = study.harness.window
     known = study.harness.known_site_names()
-    source = OpenSearchLike()
+    source = PackSource.from_records([], [], [])
     report = None
     latencies = []
     ingest_s = rematch_s = 0.0
@@ -145,9 +143,9 @@ def test_streaming_speedup(results_dir):
             "match_speedup": round(speedup, 2),
             "end_to_end_speedup": round(end_to_end, 2),
         },
-        notes="ingest_batch is recorded per path: the naive path's "
-              "queries make its appends maintain 4 field indices and "
-              "the lowered packs, the stream's appends maintain none; "
+        notes="ingest is recorded per path: the naive path appends "
+              "each batch to a PackSource (packs, time shards, file "
+              "index), the stream holds no store; "
               "the match speedup compares match-state maintenance, the "
               "end-to-end speedup whole batch latencies; the final "
               "watermark flush counts as one incremental batch",

@@ -21,7 +21,7 @@ from repro.core.matching import RM3Matcher
 from repro.core.matching.evaluation import evaluate_against_truth
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec.executor import make_executor
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.reporting.tables import render_table
 from repro.rucio.activities import TransferActivity
 from repro.scenarios.runtime import HarnessConfig, SimulationHarness
@@ -75,7 +75,9 @@ def main() -> None:
         degrader = MetadataDegrader(
             scaled_config(intensity), harness.rngs.get(f"sweep-{intensity}"))
         telemetry = degrader.degrade(harness.collector, harness.panda.tasks)
-        source = OpenSearchLike.from_telemetry(telemetry)
+        source = PackSource.from_records(
+            telemetry.jobs, telemetry.files, telemetry.transfers
+        )
         pipeline = MatchingPipeline(source, known_sites=known)
         report = pipeline.run(t0, t1, executor=executor)
         rm3_report = pipeline.run(

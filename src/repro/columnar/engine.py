@@ -6,12 +6,13 @@ jobs → files → transfers join once as flat candidate arrays, and then
 runs each matcher's final filters (time, site, whole-set size) as
 NumPy kernels.
 
-A run returns an array-first :class:`MatchResult`: the
-:class:`~repro.columnar.frame.MatchFrame` gathered from the final
-candidate arrays, plus a
-:class:`~repro.core.matching.base.LazyMatches` that assembles the
-``JobMatch`` list from the window's records only when an element is
-read.  Counting, pairing and the §5 analyses never read it.
+A run returns an array-first :class:`MatchResult`: the final
+candidate arrays, from which the
+:class:`~repro.columnar.frame.MatchFrame` is gathered on its first
+read, plus a :class:`~repro.core.matching.base.LazyMatches` that
+assembles the ``JobMatch`` list from the window's records only when an
+element is read.  Counting, pairing and the §5 analyses read the frame
+and never the list; the stream reads the list and never the frame.
 
 Its output is held bit-identical to the plain-record reference join in
 ``tests/oracle.py``, whose ordering rules are reproduced exactly:
@@ -42,20 +43,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.frame import MatchFrame
 from repro.columnar.interner import StringInterner
-from repro.columnar.kernels import group_boundaries, ragged_arange
+from repro.columnar.kernels import ragged_arange, sorted_unique
 from repro.columnar.packs import WindowColumns
 from repro.core.matching.base import BaseMatcher, JobMatch, LazyMatches, MatchResult
 from repro.core.matching.rm2 import RM2Matcher
 from repro.core.matching.rm3 import RM3Matcher
 from repro.obs import get_obs
-from repro.telemetry.records import (
-    UNKNOWN_SITE,
-    FileRecord,
-    JobRecord,
-    TransferRecord,
-)
+from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
 
 
 def supports_columnar(matcher: BaseMatcher) -> bool:
@@ -86,6 +81,9 @@ def supports_columnar(matcher: BaseMatcher) -> bool:
     )
 
 
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
+
 def _joint_codes(
     a: np.ndarray, b: np.ndarray, max_span: int
 ) -> Tuple[np.ndarray, np.ndarray, np.int64]:
@@ -99,14 +97,17 @@ def _joint_codes(
     back to rank compression over the sorted unique union, whose span
     is bounded by the element count.
     """
-    nonempty = [x for x in (a, b) if len(x)]
-    if not nonempty:
-        return a.astype(np.int64), b.astype(np.int64), np.int64(1)
-    lo = min(int(x.min()) for x in nonempty)
-    hi = max(int(x.max()) for x in nonempty)
+    if not len(b):
+        if not len(a):
+            return a.astype(np.int64), b.astype(np.int64), np.int64(1)
+        lo, hi = int(_MIN(a)), int(_MAX(a))
+    elif not len(a):
+        lo, hi = int(_MIN(b)), int(_MAX(b))
+    else:
+        lo, hi = int(min(_MIN(a), _MIN(b))), int(max(_MAX(a), _MAX(b)))
     if hi - lo < max_span:
         return a - lo, b - lo, np.int64(hi - lo + 1)
-    vocab = np.unique(np.concatenate([a, b]))
+    vocab = sorted_unique(np.concatenate([a, b]))
     return (
         np.searchsorted(vocab, a),
         np.searchsorted(vocab, b),
@@ -157,6 +158,7 @@ class ColumnarIndex:
         # Masks shared by every matcher over this window, built lazily.
         self._time_mask: Optional[np.ndarray] = None
         self._strict_site_mask: Optional[np.ndarray] = None
+        self._endpoints: Optional[tuple] = None
 
     # -- join construction -------------------------------------------------------
 
@@ -174,7 +176,7 @@ class ColumnarIndex:
 
         # Transfers reachable by the join: a positive task id, the same
         # rule as every ``n_transfers_with_taskid`` denominator.
-        joinable = np.flatnonzero(tp.jeditaskid > 0)
+        joinable = (tp.jeditaskid > 0).nonzero()[0]
 
         # (jeditaskid, lfn_code) -> sorted transfer runs.  Task ids are
         # code-compressed over the union of both sides so the pair packs
@@ -185,35 +187,31 @@ class ColumnarIndex:
         )
         t_key = t_task * lfn_span + tp.lfn[joinable]
         f_key = f_task * lfn_span + fp.lfn
-        order = np.argsort(t_key, kind="stable")  # stable: insertion order in runs
+        order = t_key.argsort(kind="stable")  # stable: insertion order in runs
         sorted_tkey = t_key[order]
         sorted_tpos = joinable[order]
 
         # Per file row: the run of transfers sharing its (task, lfn) key.
-        run_lo = np.searchsorted(sorted_tkey, f_key, side="left")
-        run_hi = np.searchsorted(sorted_tkey, f_key, side="right")
+        run_lo = sorted_tkey.searchsorted(f_key, side="left")
+        run_hi = sorted_tkey.searchsorted(f_key, side="right")
 
-        # (pandaid, jeditaskid) -> file groups, probed per job.
-        f_jt, j_jt, jt_span = _joint_codes(fp.jeditaskid, jp.jeditaskid, 1 << 30)
-        f_pid, j_pid, _ = _joint_codes(
-            fp.pandaid, jp.pandaid, (1 << 62) // int(jt_span)
-        )
-        f_group = f_pid * jt_span + f_jt
-        j_group = j_pid * jt_span + j_jt
-        file_order = np.argsort(f_group, kind="stable")
-        sorted_fgroup = f_group[file_order]
-        group_lo = np.searchsorted(sorted_fgroup, j_group, side="left")
-        group_hi = np.searchsorted(sorted_fgroup, j_group, side="right")
-
-        # Expand jobs -> their file rows (insertion order inside groups).
+        # Expand jobs -> their file rows: the rows sharing the job's
+        # pandaid (insertion order inside each pandaid run), kept where
+        # the task id matches too — F'_j's (pandaid, jeditaskid) key.
+        file_order = fp.pandaid.argsort(kind="stable")
+        sorted_pid = fp.pandaid[file_order]
+        group_lo = sorted_pid.searchsorted(jp.pandaid, side="left")
+        group_hi = sorted_pid.searchsorted(jp.pandaid, side="right")
         files_per_job = group_hi - group_lo
-        entry_job = np.repeat(np.arange(n_jobs, dtype=np.int64), files_per_job)
+        entry_job = np.arange(n_jobs, dtype=np.int64).repeat(files_per_job)
         entry_fi = file_order[ragged_arange(group_lo, files_per_job)]
+        same_task = fp.jeditaskid[entry_fi] == jp.jeditaskid[entry_job]
+        entry_job, entry_fi = entry_job[same_task], entry_fi[same_task]
 
         # Expand file rows -> their candidate transfer runs.
         cands_per_entry = run_hi[entry_fi] - run_lo[entry_fi]
-        cand_job = np.repeat(entry_job, cands_per_entry)
-        cand_fi = np.repeat(entry_fi, cands_per_entry)
+        cand_job = entry_job.repeat(cands_per_entry)
+        cand_fi = entry_fi.repeat(cands_per_entry)
         cand_tpos = sorted_tpos[ragged_arange(run_lo[entry_fi], cands_per_entry)]
 
         # Attribute equality beyond the (task, lfn) key: dataset,
@@ -230,29 +228,30 @@ class ColumnarIndex:
         r_fi = cand_fi[attr_relaxed]
         size_eq = tp.size[r_tpos] == fp.size[r_fi]
 
-        # First-occurrence dedup per (job, row_id).  row_id is
-        # code-compressed so the pair
-        # packs into int64 even for arbitrary stored ids.  The sized
-        # and relaxed joins dedup independently — each follows its own
-        # enumeration, so "first occurrence" can differ between
-        # them (a size-mismatched file row can reach a transfer first).
-        rid_code, _, rid_span = _joint_codes(
-            tp.row_id, tp.row_id[:0], (1 << 62) // (n_jobs + 1)
-        )
+        # First-occurrence dedup per (job, row_id).  The sized and
+        # relaxed joins dedup independently — each follows its own
+        # enumeration, so "first occurrence" can differ between them
+        # (a size-mismatched file row can reach a transfer first).
+        # Only RM3 reads the relaxed join, so its dedup waits for
+        # :meth:`relaxed_join`.
+        s_job, s_tpos = r_job[size_eq], r_tpos[size_eq]
+        sized = _first_pairs(s_job, tp.row_id[s_tpos], n_jobs)
+        self.cand_job = s_job[sized]
+        self.cand_tpos = s_tpos[sized]
+        self._relaxed_args = (r_job, r_tpos, r_fi)
+        self._relaxed: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-        def dedup(jobs_arr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-            _, first = np.unique(jobs_arr * rid_span + keys, return_index=True)
-            first.sort()  # restore candidate-enumeration order
-            return first
-
-        sized = dedup(r_job[size_eq], rid_code[r_tpos[size_eq]])
-        self.cand_job = r_job[size_eq][sized]
-        self.cand_tpos = r_tpos[size_eq][sized]
-
-        relaxed = dedup(r_job, rid_code[r_tpos])
-        self.relaxed_job = r_job[relaxed]
-        self.relaxed_tpos = r_tpos[relaxed]
-        self.relaxed_fi = r_fi[relaxed]
+    def relaxed_join(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """RM3's size-relaxed join as ``(job, transfer, file)`` positions,
+        deduplicated on first use.  Racing first readers each compute
+        the same arrays."""
+        if self._relaxed is None:
+            r_job, r_tpos, r_fi = self._relaxed_args
+            first = _first_pairs(
+                r_job, self.columns.transfers.row_id[r_tpos], len(self.columns.jobs)
+            )
+            self._relaxed = (r_job[first], r_tpos[first], r_fi[first])
+        return self._relaxed
 
     # -- shared filter kernels -----------------------------------------------------
 
@@ -271,54 +270,48 @@ class ColumnarIndex:
     def strict_site_mask(self) -> np.ndarray:
         """Condition (3) per candidate, strict (Exact/RM1) form."""
         if self._strict_site_mask is None:
-            self._strict_site_mask = self._site_mask(uncertain=None)
+            self._strict_site_mask = self._site_mask()
         return self._strict_site_mask
 
-    def _site_mask(self, uncertain: Optional[np.ndarray]) -> np.ndarray:
+    def _site_mask(self, relax: Optional[RM2Matcher] = None) -> np.ndarray:
         """Download dest / upload source equals the job's site.
 
-        ``uncertain`` is a per-string-code bool vector; when given, an
-        uncertain endpoint label passes (RM2's relaxation).
+        With ``relax``, an endpoint label that matcher finds uncertain
+        passes too (RM2's relaxation).  The per-candidate endpoint
+        gathers are shared by the strict and the relaxed form.
         """
-        tp, jp = self.columns.transfers, self.columns.jobs
-        site = jp.site[self.cand_job]
-        src = tp.src[self.cand_tpos]
-        dst = tp.dst[self.cand_tpos]
-        dst_ok = dst == site
-        src_ok = src == site
-        if uncertain is not None:
-            dst_ok = dst_ok | uncertain[dst]
-            src_ok = src_ok | uncertain[src]
-        return np.where(
-            tp.is_download[self.cand_tpos],
-            dst_ok,
-            tp.is_upload[self.cand_tpos] & src_ok,
-        )
+        if self._endpoints is None:
+            tp = self.columns.transfers
+            site = self.columns.jobs.site[self.cand_job]
+            src = tp.src[self.cand_tpos]
+            dst = tp.dst[self.cand_tpos]
+            self._endpoints = (
+                src, dst, src == site, dst == site,
+                tp.is_download[self.cand_tpos], tp.is_upload[self.cand_tpos],
+            )
+        src, dst, src_ok, dst_ok, is_download, is_upload = self._endpoints
+        if relax is not None:
+            uncertain = self._uncertain(relax, np.concatenate((src, dst)))
+            src_ok = src_ok | uncertain[: len(src)]
+            dst_ok = dst_ok | uncertain[len(src):]
+        return np.where(is_download, dst_ok, is_upload & src_ok)
 
-    def _uncertain_codes(self, matcher: RM2Matcher) -> np.ndarray:
-        """Vector of ``matcher._site_uncertain`` over the vocabulary.
+    def _uncertain(self, matcher: RM2Matcher, labels: np.ndarray) -> np.ndarray:
+        """``matcher._site_uncertain`` per site-label code in ``labels``.
 
-        Built from the short side: with a known-site list, everything
-        is uncertain except the known sites' codes (empty and
-        ``UNKNOWN_SITE`` labels stay uncertain even when listed); with
-        no list, only those two degenerate labels are uncertain.
+        The hook runs once per distinct label, on the decoded name, and
+        a lookup table over the codes present spreads the answers: the
+        cost follows the labels at hand, not the vocabulary.
         """
-        interner = self.columns.interner
-        known = matcher.known_sites
-        if known:
-            out = np.ones(len(interner), dtype=bool)
-            for name in known:
-                if name and name != UNKNOWN_SITE:
-                    code = interner.code_of(name)
-                    if code >= 0:
-                        out[code] = False
-        else:
-            out = np.zeros(len(interner), dtype=bool)
-        for name in ("", UNKNOWN_SITE):
-            code = interner.code_of(name)
-            if code >= 0:
-                out[code] = True
-        return out
+        if not len(labels):
+            return np.zeros(0, dtype=bool)
+        table = np.zeros(int(_MAX(labels)) + 1, dtype=bool)
+        present = np.zeros_like(table)
+        present[labels] = True
+        decode = self.columns.interner.decode
+        for code in present.nonzero()[0].tolist():
+            table[code] = matcher._site_uncertain(decode(code))
+        return table[labels]
 
     # -- per-matcher execution ----------------------------------------------------
 
@@ -349,13 +342,15 @@ class ColumnarIndex:
     def _run_inner(self, matcher: BaseMatcher, n_transfers_considered: int) -> MatchResult:
         if type(matcher).size_tolerant_join:
             return self._run_rm3(matcher, n_transfers_considered)
-        if type(matcher).site_ok is RM2Matcher.site_ok:
-            site_mask = self._site_mask(self._uncertain_codes(matcher))
-        else:
-            site_mask = self.strict_site_mask
-        kept = self.time_mask & site_mask
-        cand_job = self.cand_job[kept]
-        cand_tpos = self.cand_tpos[kept]
+        cand_job, cand_tpos = self.cand_job, self.cand_tpos
+        if len(cand_job):  # an empty join has nothing to filter
+            if type(matcher).site_ok is RM2Matcher.site_ok:
+                site_mask = self._site_mask(relax=matcher)
+            else:
+                site_mask = self.strict_site_mask
+            kept = self.time_mask & site_mask
+            cand_job = cand_job[kept]
+            cand_tpos = cand_tpos[kept]
 
         if type(matcher).select_job is not BaseMatcher.select_job:
             # A select_job override decides per job over records, so
@@ -367,7 +362,7 @@ class ColumnarIndex:
                 n_jobs_considered=len(self.jobs),
                 n_transfers_considered=n_transfers_considered,
             )
-        if matcher.use_size_check:
+        if matcher.use_size_check and len(cand_job):
             tp, jp = self.columns.transfers, self.columns.jobs
             totals = np.zeros(len(jp), dtype=np.int64)
             np.add.at(totals, cand_job, tp.size[cand_tpos])
@@ -384,15 +379,16 @@ class ColumnarIndex:
         cand_tpos: np.ndarray,
         n_transfers_considered: int,
     ) -> MatchResult:
-        """A kernel-built result: the frame, plus a lazy match list.
+        """A kernel-built result: a lazy frame plus a lazy match list.
 
         The final filtered candidate arrays are exactly the matched
-        ragged mapping, so the frame is gathered from them here and
-        answers every count and pair query.  The ``JobMatch`` list —
-        and with it every job and transfer record — is assembled from
-        the same arrays only when something reads an element.
+        ragged mapping.  The result keeps them with the window's
+        columns and gathers its frame from them on the first frame,
+        count or pair query (:meth:`MatchResult.frame`).  The
+        ``JobMatch`` list — and with it every job and transfer record —
+        is assembled from the same arrays only when something reads an
+        element; its length is the number of job runs in ``cand_job``.
         """
-        frame = MatchFrame.from_candidates(self.columns, cand_job, cand_tpos)
         # The closure keeps the record views and the two arrays, not the
         # whole index with its join arrays.
         jobs, transfers = self.jobs, self.transfers
@@ -404,13 +400,17 @@ class ColumnarIndex:
                 for j, group in _grouped(cand_job, cand_tpos)
             ]
 
+        n_runs = (
+            int(np.count_nonzero(cand_job[1:] != cand_job[:-1])) + 1
+            if len(cand_job) else 0
+        )
         result = MatchResult(
             method=matcher.name,
-            matches=LazyMatches(assemble, len(frame)),
+            matches=LazyMatches(assemble, n_runs),
             n_jobs_considered=len(jobs),
             n_transfers_considered=n_transfers_considered,
         )
-        result._frame = frame
+        result._frame_args = (self.columns, cand_job, cand_tpos)
         return result
 
     def _run_rm3(self, matcher: RM3Matcher, n_transfers_considered: int) -> MatchResult:
@@ -424,17 +424,13 @@ class ColumnarIndex:
         :mod:`repro.core.matching.rm3`).
         """
         tp, jp, fp = self.columns.transfers, self.columns.jobs, self.columns.files
+        r_job, r_tpos, r_fi = self.relaxed_join()
         with np.errstate(invalid="ignore"):
-            in_time = (
-                tp.starttime[self.relaxed_tpos] < jp.endtime[self.relaxed_job]
-            )
-        directed = (
-            tp.is_download[self.relaxed_tpos] | tp.is_upload[self.relaxed_tpos]
-        )
-        gate = in_time & directed
-        cand_job = self.relaxed_job[gate]
-        cand_tpos = self.relaxed_tpos[gate]
-        cand_fi = self.relaxed_fi[gate]
+            in_time = tp.starttime[r_tpos] < jp.endtime[r_job]
+        gate = in_time & (tp.is_download[r_tpos] | tp.is_upload[r_tpos])
+        cand_job = r_job[gate]
+        cand_tpos = r_tpos[gate]
+        cand_fi = r_fi[gate]
 
         # Per-candidate size tolerance against the producing file row.
         rel = np.abs(tp.size[cand_tpos] - fp.size[cand_fi]) / np.maximum(
@@ -448,11 +444,12 @@ class ColumnarIndex:
         label = np.where(
             tp.is_download[cand_tpos], tp.dst[cand_tpos], tp.src[cand_tpos]
         )
-        uncertain = self._uncertain_codes(matcher)
         f_site = np.where(
             label == jp.site[cand_job],
             1.0,
-            np.where(uncertain[label], matcher.site_prior, matcher.site_contra),
+            np.where(
+                self._uncertain(matcher, label), matcher.site_prior, matcher.site_contra
+            ),
         )
 
         score = (f_time * f_site) * f_size
@@ -475,6 +472,26 @@ class ColumnarIndex:
         return matches
 
 
+def _first_pairs(jobs: np.ndarray, row_ids: np.ndarray, n_jobs: int):
+    """Index of each (job, row id) pair's first occurrence, in order.
+
+    Row ids are code-compressed so the pair packs into one int64 key
+    even for arbitrary stored ids.  A stable sort puts each pair's
+    first occurrence at the head of its run; with no repeated pair the
+    index is ``slice(None)``.
+    """
+    codes, _, span = _joint_codes(row_ids, row_ids[:0], (1 << 62) // (n_jobs + 1))
+    key = jobs * span + codes
+    order = key.argsort(kind="stable")
+    key = key[order]
+    repeat = key[1:] == key[:-1]
+    if not repeat.any():
+        return slice(None)
+    first = order[np.concatenate(([True], ~repeat))]
+    first.sort()  # restore candidate-enumeration order
+    return first
+
+
 def _grouped(cand_job: np.ndarray, cand_tpos: np.ndarray):
     """Yield (job position, transfer positions) per contiguous job run.
 
@@ -482,7 +499,9 @@ def _grouped(cand_job: np.ndarray, cand_tpos: np.ndarray):
     the per-job candidate groups, in window job order.  Positions come
     out as Python ints, ready to index record sequences.
     """
-    starts = group_boundaries(cand_job).tolist()
+    if not len(cand_job):
+        return
+    starts = [0] + ((cand_job[1:] != cand_job[:-1]).nonzero()[0] + 1).tolist()
     jobs = cand_job.tolist()
     tpos = cand_tpos.tolist()
     for start, stop in zip(starts, starts[1:] + [len(tpos)]):

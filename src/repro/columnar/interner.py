@@ -7,11 +7,12 @@ itself; the kernels therefore dictionary-encode every string through a
 :class:`StringInterner` shared across collections, so equality checks
 lower to ``int64`` comparisons and NumPy can vectorize them.
 
-One interner is shared per source (see
-:meth:`repro.metastore.opensearch.OpenSearchLike.warm_interner`): codes
-are assigned once at ingest and every window lowering afterwards is a
-pure dictionary lookup, with identical codes across overlapping
-windows.
+One interner is shared per store
+(:class:`repro.metastore.packsource.PackSource` lowers every ingested
+record through it, and the stream's
+:class:`~repro.stream.IncrementalMatcher` keeps its own): codes are
+assigned once at ingest, so overlapping windows cut identical codes
+and a later lowering only looks strings up.
 """
 
 from __future__ import annotations

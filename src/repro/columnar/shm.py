@@ -3,9 +3,9 @@
 ``ParallelExecutor`` historically seeded each worker by pickling the
 whole source into the pool initializer — a per-worker copy whose cost
 grows linearly with the data and which cannot survive a paper-scale
-rung.  This module spools a source's column packs (plus the sidecar
-columns and pre-sorted shard indices of
-:class:`~repro.metastore.packsource.PackSource`) to ``.npy`` files on a
+rung.  This module spools a
+:class:`~repro.metastore.packsource.PackSource`'s column packs (plus its
+sidecar columns and pre-sorted shard indices) to ``.npy`` files on a
 shared-memory filesystem (``/dev/shm`` when present), and workers
 *attach* by path: every array comes back as a read-only ``np.memmap``,
 so the data is mapped — shared, demand-paged, never copied — rather
@@ -107,34 +107,17 @@ class PackArchive:
 
     @classmethod
     def export(cls, source, directory: Optional[Path] = None) -> "PackArchive":
-        """Spool ``source``'s packs to a fresh archive directory.
+        """Spool a :class:`PackSource`'s arrays to a fresh archive directory.
 
-        Works for any source exposing ``column_packs()``; sources that
-        are not already a :class:`PackSource` are wrapped in one (their
-        record collections provide the sidecar fields).  Raises
-        :class:`ExportError` when the source cannot be represented —
-        callers treat that as "use the pickle path".
+        Raises :class:`ExportError` for any other source, or when the
+        spool fails — callers treat that as "use the pickle path".
         """
-        from repro.metastore.packsource import PackSource, lower_sidecar
+        from repro.metastore.packsource import PackSource
 
         with get_obs().tracer.span("columnar.shm_export", cat="columnar") as sp:
-            try:
-                packs = source.column_packs()
-            except Exception as exc:  # no columnar surface at all
-                raise ExportError(f"source has no column packs: {exc}") from exc
-            if isinstance(source, PackSource):
-                ps = source
-            else:
-                try:
-                    sidecar = lower_sidecar(
-                        list(source.jobs), list(source.files), list(source.transfers),
-                        packs.interner,
-                    )
-                except Exception as exc:
-                    raise ExportError(f"cannot lower sidecar columns: {exc}") from exc
-                ps = PackSource(
-                    packs, sidecar, generation=getattr(source, "generation", 0)
-                )
+            if not isinstance(source, PackSource):
+                raise ExportError(f"cannot spool a {type(source).__name__}")
+            ps = source
 
             root = Path(directory) if directory is not None else spool_root()
             path = root / f"repro-packs-{os.getpid()}-{uuid.uuid4().hex[:12]}"

@@ -12,9 +12,8 @@ candidate scoring is a handful of vectorized kernel calls
 (:mod:`repro.coopt.state`) instead of per-site dict probes.  Two feeds
 update it:
 
-* **ground-truth sinks** — :meth:`on_transfer` / :meth:`on_job_done`
-  EWMA updates, O(1) per event (the original static-sketch wiring,
-  still used by tests and the legacy ablation path);
+* **backlog** — :meth:`note_backlog`, the live PanDA queue state the
+  broker maintains as it assigns and finishes jobs;
 * **fold snapshots** — :meth:`absorb` installs a generation-keyed
   :class:`~repro.coopt.state.AwarenessSnapshot` cut from the streaming
   matcher's awareness folds as the historical layer, which is how the
@@ -24,7 +23,6 @@ update it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,39 +34,20 @@ from repro.coopt.state import (
     queue_wait_kernel,
 )
 from repro.grid.topology import GridTopology
-from repro.panda.job import Job
-from repro.rucio.transfer import TransferEvent
-
-
-@dataclass
-class EwmaEstimate:
-    """One exponentially weighted moving average."""
-
-    alpha: float = 0.2
-    value: Optional[float] = None
-    n_samples: int = 0
-
-    def update(self, x: float) -> None:
-        self.value = x if self.value is None else (1 - self.alpha) * self.value + self.alpha * x
-        self.n_samples += 1
-
-    def get(self, default: float) -> float:
-        return self.value if self.value is not None else default
 
 
 class PerformanceAwareness:
     """Live cross-system state: queue pressure, throughput, failures."""
 
-    def __init__(self, topology: GridTopology, alpha: float = 0.2) -> None:
+    def __init__(self, topology: GridTopology) -> None:
         self.topology = topology
-        self.alpha = float(alpha)
         self.site_names = tuple(topology.site_names())
         self._index = {name: i for i, name in enumerate(self.site_names)}
         n = len(self.site_names)
-        #: observed queuing time per site (EWMA value / sample count)
+        #: observed queuing time per site (value / sample count)
         self._queue_value = np.full(n, np.nan)
         self._queue_n = np.zeros(n, dtype=np.int64)
-        #: observed failure indicator per site (0/1 EWMA = rate)
+        #: observed failure rate per site
         self._fail_value = np.full(n, np.nan)
         self._fail_n = np.zeros(n, dtype=np.int64)
         #: ready-but-not-running backlog per site, maintained by callers
@@ -88,32 +67,7 @@ class PerformanceAwareness:
     def site_index(self, name: str) -> Optional[int]:
         return self._index.get(name)
 
-    def _ewma(self, value: np.ndarray, count: np.ndarray, idx, x: float) -> None:
-        if count[idx] == 0:
-            value[idx] = x
-        else:
-            value[idx] = (1 - self.alpha) * value[idx] + self.alpha * x
-        count[idx] += 1
-
-    # -- event sinks -------------------------------------------------------------
-
-    def on_transfer(self, event: TransferEvent) -> None:
-        if not event.success or event.duration <= 0:
-            return
-        i = self._index.get(event.source_site)
-        j = self._index.get(event.destination_site)
-        if i is None or j is None:
-            return
-        self._ewma(self._link_value, self._link_n, (i, j), event.throughput)
-
-    def on_job_done(self, job: Job) -> None:
-        i = self._index.get(job.computing_site) if job.computing_site else None
-        if i is None:
-            return
-        q = job.queuing_time
-        if q is not None:
-            self._ewma(self._queue_value, self._queue_n, i, q)
-        self._ewma(self._fail_value, self._fail_n, i, 0.0 if job.succeeded else 1.0)
+    # -- live queue state --------------------------------------------------------
 
     def note_backlog(self, site: str, delta: int) -> None:
         i = self._index.get(site)
@@ -128,10 +82,9 @@ class PerformanceAwareness:
 
         Observed cells (count > 0) replace the per-site/per-link history
         wholesale — the snapshot *is* the accumulated matched evidence,
-        so EWMA-blending it with itself each epoch would double-count.
-        Unobserved cells keep whatever the live sinks have learned.
-        Backlog is untouched: it is live PanDA queue state, not
-        telemetry.
+        so blending it with itself each epoch would double-count.
+        Unobserved cells keep what earlier snapshots installed.  Backlog
+        is untouched: it is live PanDA queue state, not telemetry.
         """
         if snapshot.site_names != self.site_names:
             raise ValueError("snapshot site order does not match topology")

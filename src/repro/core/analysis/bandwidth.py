@@ -99,66 +99,6 @@ def bandwidth_series(
     )
 
 
-def bandwidth_series_fast(
-    transfers: Sequence[TransferRecord],
-    t0: float,
-    t1: float,
-    bucket_seconds: float = 300.0,
-    label: str = "",
-) -> BandwidthSeries:
-    """Sweep-based equivalent of :func:`bandwidth_series`.
-
-    Instead of walking each transfer's bucket span (O(Σ span)), build a
-    rate *difference* series — +rate at each start, −rate at each end —
-    and integrate the running rate across bucket boundaries in one
-    vectorised sweep: O(n log n + buckets).  Differentially tested
-    against the reference implementation (hypothesis); preferred for
-    large windows with long transfers.
-    """
-    if t1 <= t0:
-        raise ValueError("empty window")
-    n = int(np.ceil((t1 - t0) / bucket_seconds))
-    buckets = np.zeros(n)
-
-    times: list[float] = []
-    deltas: list[float] = []
-    for t in transfers:
-        dur = t.endtime - t.starttime
-        if dur <= 1e-9:
-            k = int((t.starttime - t0) // bucket_seconds)
-            if 0 <= k < n:
-                buckets[k] += t.file_size
-            continue
-        rate = t.file_size / dur
-        times.extend((t.starttime, t.endtime))
-        deltas.extend((rate, -rate))
-
-    if times:
-        order = np.argsort(times, kind="stable")
-        ev_t = np.asarray(times, dtype=float)[order]
-        ev_d = np.asarray(deltas, dtype=float)[order]
-        # Merge rate-change events with bucket boundaries and integrate.
-        edges = t0 + np.arange(n + 1) * bucket_seconds
-        all_t = np.concatenate([ev_t, edges])
-        all_d = np.concatenate([ev_d, np.zeros(n + 1)])
-        order = np.argsort(all_t, kind="stable")
-        all_t, all_d = all_t[order], all_d[order]
-        rate_after = np.cumsum(all_d)
-        seg_len = np.diff(all_t)
-        seg_bytes = rate_after[:-1] * seg_len
-        # Bucket edges are themselves events, so every segment lies in
-        # exactly one bucket; classify by the segment *midpoint*, which
-        # sits strictly inside and is immune to edge rounding.
-        seg_mid = (all_t[:-1] + all_t[1:]) / 2.0
-        seg_bucket = np.floor((seg_mid - t0) / bucket_seconds).astype(int)
-        valid = (seg_bucket >= 0) & (seg_bucket < n) & (seg_len > 0)
-        np.add.at(buckets, seg_bucket[valid], seg_bytes[valid])
-
-    return BandwidthSeries(
-        label=label, bucket_seconds=bucket_seconds, t0=t0, bytes_per_bucket=buckets
-    )
-
-
 def busiest_links(
     transfers: Sequence[TransferRecord],
     kind: str = "remote",

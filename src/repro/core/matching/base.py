@@ -152,37 +152,68 @@ class MatchResult:
         default=None, init=False, repr=False, compare=False
     )
 
-    #: Columnar lowering of this result (``repro.columnar.frame``).
-    #: The columnar kernels attach it from their candidate arrays; it is
-    #: the primary form of their results.  Results assembled elsewhere
-    #: (``select_job`` overrides, the stream's accumulated state) lower
-    #: their matches on first use.
+    #: Columnar lowering of this result (``repro.columnar.frame``), the
+    #: primary form of a kernel-built result.  Results assembled
+    #: elsewhere (``select_job`` overrides, the stream's accumulated
+    #: state) lower their matches on first use.
     _frame: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: ``(columns, cand_job, cand_tpos)`` a kernel-built result gathers
+    #: its frame from on the first frame, count or pair query.
+    _frame_args: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def frame(self):
-        """The :class:`~repro.columnar.frame.MatchFrame` of this result."""
-        if self._frame is None:
-            from repro.columnar.frame import MatchFrame
+        """The :class:`~repro.columnar.frame.MatchFrame` of this result.
 
-            self._frame = MatchFrame.from_matches(self.matches)
-        return self._frame
+        Readers racing the first call may each gather a frame; every
+        one of them is correct.  The frame is published before the
+        candidate arrays are dropped, so a reader that finds neither
+        set sees the published frame on its second look.
+        """
+        frame = self._frame
+        if frame is None:
+            args = self._frame_args
+            if args is None:
+                frame = self._frame
+            if frame is None:
+                from repro.columnar.frame import MatchFrame
+
+                if args is not None:
+                    frame = MatchFrame.from_candidates(*args)
+                else:
+                    frame = MatchFrame.from_matches(self.matches)
+                self._frame = frame
+                self._frame_args = None
+        return frame
+
+    @property
+    def _kernel_built(self) -> bool:
+        return self._frame is not None or self._frame_args is not None
+
+    def __getstate__(self) -> dict:
+        """Pickle the frame, never the window columns it is cut from."""
+        state = dict(self.__dict__)
+        if state.pop("_frame_args", None) is not None:
+            state["_frame"] = self.frame()
+        return state
 
     def matched_jobs(self) -> List[JobMatch]:
         return [m for m in self.matches if m.transfers]
 
     @property
     def n_matched_jobs(self) -> int:
-        if self._frame is not None:
-            return len(self._frame)
+        if self._kernel_built:
+            return len(self.frame())
         return len(self.matched_jobs())
 
     def matched_transfer_ids(self) -> FrozenSet[int]:
         if self._transfer_ids is None:
-            if self._frame is not None:
+            if self._kernel_built:
                 self._transfer_ids = frozenset(
-                    self._frame.matched_row_ids().tolist()
+                    self.frame().matched_row_ids().tolist()
                 )
             else:
                 self._transfer_ids = frozenset(
@@ -202,8 +233,8 @@ class MatchResult:
         pair-level metric downstream.  First-occurrence order is kept,
         so serial and parallel execution emit identical lists.
         """
-        if self._frame is not None:
-            return self._frame.matched_pairs()
+        if self._kernel_built:
+            return self.frame().matched_pairs()
         seen: Set[Tuple[int, int]] = set()
         out: List[Tuple[int, int]] = []
         for m in self.matches:

@@ -24,7 +24,7 @@ from repro.core.matching.base import BaseMatcher, MatchingReport
 from repro.exec.artifacts import ArtifactCache, WindowArtifacts
 from repro.exec.executor import Executor, SerialExecutor
 from repro.exec.plan import WindowPlan
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.obs import Obs, use_obs
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
 
@@ -37,7 +37,7 @@ class MatchingPipeline:
     Parameters
     ----------
     source:
-        The query layer holding degraded telemetry.
+        The metastore holding degraded telemetry.
     known_sites:
         Valid site names (for RM2's invalid-label detection).
     user_jobs_only:
@@ -60,7 +60,7 @@ class MatchingPipeline:
 
     def __init__(
         self,
-        source: OpenSearchLike,
+        source: PackSource,
         known_sites: Optional[Set[str]] = None,
         user_jobs_only: bool = True,
         cache: Optional[ArtifactCache] = None,

@@ -75,11 +75,10 @@ class WindowArtifacts:
     def materialize(cls, source, plan: WindowPlan) -> "WindowArtifacts":
         """Run the pre-selection queries and cut the window's packs.
 
-        ``source.materialize_window`` (implemented by both
-        :class:`~repro.metastore.opensearch.OpenSearchLike` and
-        :class:`~repro.metastore.packsource.PackSource`) evaluates the
-        window to id arrays and hands back the records plus packs cut
-        from the source's full-table lowering by pure NumPy gathers.
+        ``source.materialize_window``
+        (:class:`~repro.metastore.packsource.PackSource`) evaluates the
+        window to id arrays and hands back lazy record views plus packs
+        cut from the source's columns by pure NumPy gathers.
         """
         jobs, files, transfers, columns = source.materialize_window(
             plan.t0, plan.t1, plan.user_jobs_only

@@ -1,36 +1,22 @@
 """Metadata store: the OpenSearch-like querying module of Fig 4.
 
-An in-memory document store with per-field hash indices and range
-queries.  The analysis workflow retrieves job, file, and transfer
-metadata through this store exactly as the paper's querying module
-retrieves them from OpenSearch — time-window preselection first, field
-filters after.
+The analysis workflow retrieves job, file, and transfer metadata
+through this store exactly as the paper's querying module retrieves
+them from OpenSearch — time-window preselection first, field filters
+after.
 
-Two sources serve that retrieval surface.  :class:`OpenSearchLike` is
-the record store: one sorted column per field, unpartitioned.
-:class:`PackSource` is the array-native source of the paper-scale
-rungs; its per-slice ``(values, ids)`` time shards are the only
-partitioned index in the repo.
+:class:`PackSource` is the one store.  Its storage is the column packs
+the matching kernels read, plus a few sidecar columns that make every
+record recoverable; record objects are built lazily, only when
+something reads them.  Its per-slice ``(values, ids)`` time shards over
+job ``endtime`` and transfer ``starttime`` are the index every window
+query cuts, and micro-batches append in O(batch) through
+:meth:`PackSource.ingest_batch`.
 """
 
-from repro.metastore.index import FieldIndex
-from repro.metastore.query import Query, Term, Terms, Range, Bool, Exists, MatchAll
-from repro.metastore.store import DocumentStore
-from repro.metastore.opensearch import OpenSearchLike, SearchResult
 from repro.metastore.packsource import PackSource, SidecarColumns
 
 __all__ = [
-    "FieldIndex",
     "PackSource",
     "SidecarColumns",
-    "Query",
-    "Term",
-    "Terms",
-    "Range",
-    "Bool",
-    "Exists",
-    "MatchAll",
-    "DocumentStore",
-    "OpenSearchLike",
-    "SearchResult",
 ]

@@ -1,11 +1,12 @@
-"""Array-native sharded telemetry source (the paper-scale dataplane).
+"""Array-native sharded telemetry source: the repo's one metastore.
 
-:class:`PackSource` serves the same query surface the matching and
-analysis layers use on :class:`~repro.metastore.opensearch.OpenSearchLike`
-(``materialize_window``, the §4.2 retrieval patterns, ``column_packs``,
-``generation``) — but its storage *is* the column packs.  No per-record
-document list exists; record objects are materialized lazily, one row
-at a time, only when something actually touches them.  Matching and
+:class:`PackSource` serves the query surface the matching and analysis
+layers use (``materialize_window``, the §4.2 retrieval patterns,
+``column_packs``, ``generation``) and the append path the serving
+layer writes through (``ingest_batch``); its storage *is* the column
+packs.  No per-record document list exists; record objects are
+materialized lazily, one row at a time, only when something actually
+touches them.  Matching and
 the default analyses read only the packs, so a window pass builds no
 record at all; a kernel result's match list, when read, builds only
 its matched jobs and transfers.
@@ -40,17 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.interner import StringInterner
-from repro.columnar.kernels import ragged_arange
-from repro.columnar.packs import (
-    FilePack,
-    JobPack,
-    TransferPack,
-    WindowColumns,
-    lower_files,
-    lower_jobs,
-    lower_transfers,
-)
-from repro.obs import get_obs
+from repro.columnar.kernels import ragged_arange, sorted_unique
+from repro.columnar.packs import WindowColumns
+from repro.obs import SIZE_BUCKETS, get_obs
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
 
 DEFAULT_SHARD_SECONDS = 24 * 3600.0
@@ -134,12 +127,11 @@ class LazyRecords(SequenceABC):
 class _TimeShards:
     """Per-slice sorted (values, ids) indices over one timestamp column.
 
-    The sharded analogue of a ``FieldIndex`` sorted column: shard key =
-    ``floor(value / slice_seconds)``; within a shard, values (and their
-    global row ids) are value-sorted, so a window cut is a pair of
-    ``searchsorted`` calls per overlapped shard.  Rows with NaN values
-    are excluded — exactly like ``None`` fields never entering a
-    ``FieldIndex``.
+    Shard key = ``floor(value / slice_seconds)``; within a shard,
+    values (and their global row ids) are value-sorted, so a window cut
+    is a pair of ``searchsorted`` calls per overlapped shard.  Rows with
+    NaN values (a job with no ``endtime``) are excluded, so no window
+    selects them.
     """
 
     def __init__(self, values: np.ndarray, slice_seconds: float) -> None:
@@ -275,6 +267,17 @@ def _float_or_none(v: float) -> Optional[float]:
     return None if math.isnan(v) else float(v)
 
 
+def _counted(collection: str, ids: np.ndarray) -> np.ndarray:
+    """Record one id query and its hit size; returns ``ids``."""
+    obs = get_obs()
+    if obs.enabled:
+        obs.metrics.counter("metastore.queries", collection=collection).inc()
+        obs.metrics.histogram(
+            "metastore.hit_size", edges=SIZE_BUCKETS, collection=collection
+        ).observe(len(ids))
+    return ids
+
+
 class PackSource:
     """Sharded, array-backed telemetry source with lazy record views."""
 
@@ -323,53 +326,78 @@ class PackSource:
         interner: Optional[StringInterner] = None,
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
     ) -> "PackSource":
+        """Bulk-build a source; rows keep the records' order."""
         it = interner if interner is not None else StringInterner()
         columns = WindowColumns.lower(jobs, files, transfers, it)
         sidecar = lower_sidecar(jobs, files, transfers, it)
-        return cls(columns, sidecar, shard_seconds=shard_seconds)
+        source = cls(columns, sidecar, shard_seconds=shard_seconds)
+        obs = get_obs()
+        if obs.enabled:
+            obs.metrics.counter("metastore.ingested_records").inc(
+                len(jobs) + len(files) + len(transfers)
+            )
+        return source
 
     # -- ingest --------------------------------------------------------------
 
-    def append_records(
+    def ingest_batch(
         self,
         jobs: Sequence[JobRecord] = (),
         files: Sequence[FileRecord] = (),
         transfers: Sequence[TransferRecord] = (),
     ) -> int:
-        """Append a telemetry micro-batch; lands in the tail shard(s).
+        """Append a telemetry micro-batch; it lands in the tail shard(s).
 
-        Columns extend by concatenation (the same cost model as
-        ``OpenSearchLike.ingest_batch``); only shards receiving rows are
-        re-merged.  Bumps the generation so every cache keyed on it
-        invalidates.
+        Every item must be its collection's record type; anything else
+        raises ``TypeError`` before any column, shard or generation
+        changes.  Only the delta is lowered, through the shared
+        interner, and concatenated onto the columns
+        (:meth:`WindowColumns.extend`); only shards receiving rows are
+        re-merged, and the file-pandaid index merges the delta in
+        O(rows).  A non-empty append bumps the generation, so every
+        cache and worker pool keyed on it invalidates.
         """
         jobs, files, transfers = list(jobs), list(files), list(transfers)
+        for items, kind in ((jobs, JobRecord), (files, FileRecord),
+                            (transfers, TransferRecord)):
+            for item in items:
+                if not isinstance(item, kind):
+                    raise TypeError(
+                        f"cannot ingest {type(item).__name__} as {kind.__name__}"
+                    )
         n = len(jobs) + len(files) + len(transfers)
-        if not n:
-            return 0
-        it = self.interner
-        job_base = len(self.columns.jobs)
-        transfer_base = len(self.columns.transfers)
-        delta_cols = WindowColumns(
-            interner=it,
-            jobs=lower_jobs(jobs, it),
-            files=lower_files(files, it),
-            transfers=lower_transfers(transfers, it),
-        )
-        delta_side = lower_sidecar(jobs, files, transfers, it)
-        self.columns = WindowColumns(
-            interner=it,
-            jobs=self.columns.jobs.concat(delta_cols.jobs),
-            files=self.columns.files.concat(delta_cols.files),
-            transfers=self.columns.transfers.concat(delta_cols.transfers),
-        )
-        self.sidecar = self.sidecar.concat(delta_side)
-        self._job_shards.extend(delta_cols.jobs.endtime, base=job_base)
-        self._transfer_shards.extend(delta_cols.transfers.starttime, base=transfer_base)
-        self._file_order = np.argsort(self.columns.files.pandaid, kind="stable")
-        self._file_pandaid_sorted = self.columns.files.pandaid[self._file_order]
-        self._generation += 1
+        obs = get_obs()
+        with obs.tracer.span("metastore.ingest_batch", cat="metastore") as sp:
+            sp.set("n_jobs", len(jobs))
+            sp.set("n_files", len(files))
+            sp.set("n_transfers", len(transfers))
+            if n:
+                self._append(jobs, files, transfers)
+        if obs.enabled:
+            obs.metrics.counter("metastore.ingested_records").inc(n)
         return n
+
+    def _append(self, jobs, files, transfers) -> None:
+        old = self.columns
+        columns = old.extend(jobs, files, transfers)
+        sidecar = self.sidecar.concat(
+            lower_sidecar(jobs, files, transfers, self.interner)
+        )
+        job_base, file_base = len(old.jobs), len(old.files)
+        transfer_base = len(old.transfers)
+        self.columns, self.sidecar = columns, sidecar
+        self._job_shards.extend(columns.jobs.endtime[job_base:], base=job_base)
+        self._transfer_shards.extend(
+            columns.transfers.starttime[transfer_base:], base=transfer_base
+        )
+        # New rows sort after every equal pandaid already indexed, which
+        # is where a stable argsort of the whole column puts them.
+        pid = columns.files.pandaid[file_base:]
+        order = np.argsort(pid, kind="stable")
+        at = np.searchsorted(self._file_pandaid_sorted, pid[order], side="right")
+        self._file_order = np.insert(self._file_order, at, order + file_base)
+        self._file_pandaid_sorted = np.insert(self._file_pandaid_sorted, at, pid[order])
+        self._generation += 1
 
     # -- record reconstruction ----------------------------------------------
 
@@ -447,23 +475,25 @@ class PackSource:
             # code_of is -1 when no "user" label was ever interned,
             # which matches no label code — the correct empty answer.
             ids = ids[self.sidecar.job_label[ids] == self.interner.code_of("user")]
-        return ids
+        return _counted("jobs", ids)
 
     def transfer_ids_started_in(self, t0: float, t1: float) -> np.ndarray:
-        return self._transfer_shards.ids_in(t0, t1, collection="transfers")
+        return _counted(
+            "transfers", self._transfer_shards.ids_in(t0, t1, collection="transfers")
+        )
 
     def file_ids_of_jobs(self, pandaids: np.ndarray) -> np.ndarray:
         """File rows whose pandaid is in ``pandaids``, id-sorted."""
         if not len(pandaids):
-            return np.empty(0, dtype=np.int64)
-        uniq = np.unique(np.asarray(pandaids, dtype=np.int64))
+            return _counted("files", np.empty(0, dtype=np.int64))
+        uniq = sorted_unique(np.asarray(pandaids, dtype=np.int64))
         lo = np.searchsorted(self._file_pandaid_sorted, uniq, side="left")
         hi = np.searchsorted(self._file_pandaid_sorted, uniq, side="right")
         out = self._file_order[ragged_arange(lo, hi - lo)]
         out.sort()
-        return out
+        return _counted("files", out)
 
-    # -- the OpenSearchLike retrieval surface --------------------------------
+    # -- the §4.2 retrieval surface -------------------------------------------
 
     def materialize_window(
         self, t0: float, t1: float, user_jobs_only: bool = True

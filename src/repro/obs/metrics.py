@@ -2,12 +2,12 @@
 
 A :class:`MetricsRegistry` is the scalar half of the observability
 layer: where spans record *when* something ran, metrics record *how
-often* and *how big* — metastore query counts per collection, artifact
+often* and *how big* — id queries per store collection, artifact
 cache hits/misses/evictions, kernel rows processed, watermark lag.
 
 Instruments are keyed by ``(name, labels)`` so one registry holds e.g.
-``metastore.queries{collection=jobs}`` and
-``metastore.queries{collection=transfers}`` side by side.  A disabled
+the ``collection=jobs`` and ``collection=transfers`` counters of the
+store's window queries side by side.  A disabled
 registry hands out shared no-op instruments, so call sites need no
 conditionals.  ``snapshot()`` freezes everything into a deterministic,
 JSON-ready dict (sorted by name then labels).

@@ -2,8 +2,9 @@
 
 Runs a campaign shaped like the paper's 04/01-04/09/2025 window —
 user analysis plus production plus heavy background movement — then
-degrades telemetry, ingests it into the query layer, and runs the
-matching pipeline.  Every Table-1/2 and Fig-5..12 analysis consumes
+degrades telemetry, ingests it into the metastore's
+:class:`~repro.metastore.packsource.PackSource`, and runs the matching
+pipeline.  Every Table-1/2 and Fig-5..12 analysis consumes
 this study's outputs.
 """
 
@@ -15,7 +16,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.matching.pipeline import MatchingPipeline, MatchingReport
 from repro.exec.analysis import DEFAULT_ANALYSES, run_analyses
 from repro.exec.executor import Executor, make_executor
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.obs import Obs, use_obs
 from repro.scenarios.runtime import HarnessConfig, SimulationHarness
 from repro.telemetry.degradation import DegradationConfig, DegradedTelemetry
@@ -77,7 +78,7 @@ class EightDayStudy:
         self.config = config or EightDayConfig()
         self.obs = obs
         self.harness = SimulationHarness(self.config.harness_config())
-        self._source: Optional[OpenSearchLike] = None
+        self._source: Optional[PackSource] = None
         self._pipeline: Optional[MatchingPipeline] = None
         self._report: Optional[MatchingReport] = None
 
@@ -93,11 +94,14 @@ class EightDayStudy:
         return self.harness.telemetry()
 
     @property
-    def source(self) -> OpenSearchLike:
+    def source(self) -> PackSource:
         if self._source is None:
             with use_obs(self.obs) as obs:
                 with obs.tracer.span("study.ingest", cat="study"):
-                    self._source = OpenSearchLike.from_telemetry(self.telemetry)
+                    tele = self.telemetry
+                    self._source = PackSource.from_records(
+                        tele.jobs, tele.files, tele.transfers
+                    )
         return self._source
 
     @property

@@ -1,9 +1,8 @@
 """The multi-tenant match/analysis service.
 
 :class:`MatchService` is a long-lived asyncio front end over the
-dataplane built in PRs 1-6: one shared metastore
-(:class:`~repro.metastore.opensearch.OpenSearchLike` or
-:class:`~repro.metastore.packsource.PackSource`), one thread-safe
+dataplane: one shared metastore
+(:class:`~repro.metastore.packsource.PackSource`), one thread-safe
 :class:`~repro.exec.artifacts.ArtifactCache`, one cross-tenant
 :class:`~repro.serve.memo.ResultMemo`, and a bounded pool of compute
 workers.  Request flow::
@@ -19,11 +18,11 @@ workers.  Request flow::
                   ▼                 Exact/RM1/RM2 kernels / analyses
                response
 
-Live ingest runs concurrently with serving: :meth:`ingest` (and
-:meth:`feed` when a :class:`~repro.stream.StreamProcessor` is
-attached) takes the write side of a reader-writer lock while queries
-hold the read side, so a query observes exactly one store generation
-end to end — the generation its memo key and response carry.  Stale
+Live ingest runs concurrently with serving: :meth:`ingest` appends
+through ``PackSource.ingest_batch`` under the write side of a
+reader-writer lock while queries hold the read side, so a query
+observes exactly one store generation end to end — the generation its
+memo key and response carry.  Stale
 results can never be served: keys embed the generation, and the memo
 evicts dead generations on the next miss.
 
@@ -277,14 +276,12 @@ class MatchService:
         tenants: Optional[Dict[str, float]] = None,
         config: Optional[ServeConfig] = None,
         executor: Optional[ParallelExecutor] = None,
-        stream=None,
         clock=None,
     ) -> None:
         self.source = source
         self.known_sites = known_sites or set()
         self.config = config or ServeConfig()
         self.executor = executor
-        self.stream = stream
         self.cache = ArtifactCache(source, max_entries=self.config.cache_entries)
         self.memo = ResultMemo(max_entries=self.config.memo_entries)
         self.rwlock = RWLock()
@@ -331,19 +328,6 @@ class MatchService:
         if obs.enabled:
             obs.metrics.counter("serve.ingested_records").inc(n)
         return n
-
-    def feed(self, events) -> object:
-        """Drive the attached :class:`StreamProcessor` one micro-batch.
-
-        The processor ingests into this service's source and keeps its
-        incremental match state current; queries running concurrently
-        keep reading the pre-batch generation until the write lock is
-        released.
-        """
-        if self.stream is None:
-            raise RuntimeError("service has no attached StreamProcessor")
-        with self.rwlock.write():
-            return self.stream.process(events)
 
     # -- synchronous serving core ---------------------------------------------
 

@@ -11,11 +11,9 @@ filters the columnar kernels lower (Exact, RM1, RM2).
 
 How parity survives arbitrary delivery orders and batch sizes:
 
-* records are appended to an :class:`OpenSearchLike` through
-  ``ingest_batch`` — which, since the stream never queries that store,
-  builds no field index and extends no column pack — but all
-  *matching* order is keyed on each event's source sequence number,
-  never on arrival order;
+* the stream holds no store: accepted events stay in the matcher's
+  pending state, and all *matching* order is keyed on each event's
+  source sequence number, never on arrival order;
 * a job only closes once the transfer watermark passes its endtime, so
   its candidate set is complete at close time (any transfer observed
   later starts at or after the watermark and would fail the strict
@@ -24,7 +22,7 @@ How parity survives arbitrary delivery orders and batch sizes:
   closed jobs (sequence order), their file rows (per-job snapshot
   order), and the sequence-sorted union of their key-matching
   transfers, lowered from the records the matcher already holds
-  through the store's shared interner — the same kernels as the batch
+  through its own interner — the same kernels as the batch
   pipeline, over the same per-job candidate enumeration order;
 * final results re-assemble each method's accumulated matches in job
   sequence order, which is exactly the batch window's job order.
@@ -40,9 +38,9 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.engine import ColumnarIndex, supports_columnar
+from repro.columnar.interner import StringInterner
 from repro.core.matching.base import BaseMatcher, JobMatch, MatchingReport, MatchResult
 from repro.exec.executor import default_matchers
-from repro.metastore.opensearch import OpenSearchLike
 from repro.obs import get_obs
 from repro.stream.folds import FoldSet
 from repro.stream.log import EventKind, EventLog, StreamEvent
@@ -98,7 +96,6 @@ class IncrementalMatcher:
         t1: float,
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites: Optional[set] = None,
-        source: Optional[OpenSearchLike] = None,
         user_jobs_only: bool = True,
     ) -> None:
         self.t0 = float(t0)
@@ -112,7 +109,10 @@ class IncrementalMatcher:
                     f"matcher {m.name!r} ({type(m).__name__}) overrides "
                     "predicate hooks the columnar kernels cannot lower"
                 )
-        self.source = source if source is not None else OpenSearchLike()
+        #: Dictionary encoding shared by every close's delta lowering.
+        self.interner = StringInterner()
+        #: No matcher reads RM3's size-relaxed join.
+        self._sized_only = not any(type(m).size_tolerant_join for m in self.matchers)
         self.user_jobs_only = user_jobs_only
         #: job seq -> the job event of a window that has not closed yet
         self._pending: Dict[int, StreamEvent] = {}
@@ -134,8 +134,7 @@ class IncrementalMatcher:
         must end inside [t0, t1) (and carry the user label when
         ``user_jobs_only``), transfers must start inside it.  Accepted
         events stay in the pending state, keyed by sequence, for later
-        delta closes, and their records append to the store in one
-        ``ingest_batch``.
+        delta closes.
         """
         jobs: List[StreamEvent] = []
         transfers: List[StreamEvent] = []
@@ -152,12 +151,6 @@ class IncrementalMatcher:
                 if self.user_jobs_only and j.prodsourcelabel != "user":
                     continue
                 jobs.append(e)
-
-        self.source.ingest_batch(
-            jobs=[e.record for e in jobs],
-            files=[f for e in jobs for f in e.files],
-            transfers=[e.record for e in transfers],
-        )
 
         for e in jobs:
             self._pending[e.seq] = e
@@ -185,9 +178,9 @@ class IncrementalMatcher:
         (jeditaskid, lfn) key with any of their files — a superset cut
         that preserves the batch join's candidate enumeration order
         exactly, so the kernels produce the batch pipeline's matches.
-        It lowers those records through the store's shared interner,
-        so a close costs O(closing jobs + their candidates), whatever
-        the store holds.  Each match maps back to its job's sequence
+        It lowers those records through the matcher's interner, so a
+        close costs O(closing jobs + their candidates), however long
+        the stream has run.  Each match maps back to its job's sequence
         through its row in the delta index, so two closing jobs sharing
         one record object stay two matches.
         """
@@ -232,8 +225,12 @@ class IncrementalMatcher:
             [p.record for p in active],
             [f for p in active for f in p.files],
             [e.record for e in cand],
-            interner=self.source.interner,
+            interner=self.interner,
         )
+        if not len(index.cand_job) and self._sized_only:
+            # Attributes or sizes ruled out every key hit: no matcher
+            # that reads the sized join can match anything here.
+            return len(closing), {m.name: [] for m in self.matchers}
 
         out: Dict[str, List[Finalized]] = {}
         for matcher in self.matchers:
@@ -296,14 +293,12 @@ class StreamProcessor:
         lateness: float = 0.0,
         user_jobs_only: bool = True,
         folds: Optional[FoldSet] = None,
-        source: Optional[OpenSearchLike] = None,
     ) -> None:
         self.matcher = IncrementalMatcher(
             t0,
             t1,
             matchers=matchers,
             known_sites=known_sites,
-            source=source,
             user_jobs_only=user_jobs_only,
         )
         self.tracker = WatermarkTracker(lateness)
@@ -312,10 +307,6 @@ class StreamProcessor:
         self._acc.total_matched = {m.name: 0 for m in self.matcher.matchers}
         self._batch_id = 0
         self._finished = False
-
-    @property
-    def source(self) -> OpenSearchLike:
-        return self.matcher.source
 
     def process(self, events: Sequence[StreamEvent]) -> MatchDelta:
         """One micro-batch through the whole dataplane."""

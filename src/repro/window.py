@@ -12,9 +12,7 @@ independent implementations that must agree record-for-record:
 
 * the collector's sort-once + bisect pre-selection
   (:meth:`repro.telemetry.collector.TelemetryCollector.transfers_in_window`);
-* the metastore's ``Range(gte=t0, lt=t1)`` queries and their
-  sorted-index fast path (``FieldIndex.range_ids``);
-* the pack source's per-slice cuts
+* the metastore's per-slice cuts
   (:class:`repro.metastore.packsource.PackSource`), the repo's one
   time-sharded index;
 * the streaming ingest filter and event-log trim (``repro.stream``).

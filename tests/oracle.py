@@ -11,6 +11,10 @@ specification.  The parity suites (``test_columnar``, ``test_rm3``,
 is bit-identical to what this module computes; no production code
 imports it.
 
+:class:`RecordSource` is the store's reference the same way: record
+lists scanned per window, against which
+:class:`~repro.metastore.packsource.PackSource` is checked.
+
 Four record-level analyses keep their loops in production for callers
 that hold records but no packs (Table 1, site dashboards, the transfer
 matrix, the temporal profiles); :func:`analyze` calls those with
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Literal, Sequence, Set, Tuple
 
+from repro.columnar.interner import StringInterner
+from repro.columnar.packs import WindowColumns
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.queuing import (
     JobTransferTiming,
@@ -47,6 +53,47 @@ from repro.core.matching.base import (
 from repro.exec.analysis import DEFAULT_ANALYSES, AnalysisSpec
 from repro.exec.plan import WindowPlan
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
+from repro.window import in_window
+
+# -- the store ----------------------------------------------------------------
+
+
+class RecordSource:
+    """The metastore's window semantics over plain record lists.
+
+    The brute-force reference
+    :class:`~repro.metastore.packsource.PackSource` is checked against:
+    no index, no shards, no lazy views.  A window is a scan of each
+    list in storage order — jobs that ended in ``[t0, t1)`` (with the
+    ``user`` label when asked), the file rows of those jobs' pandaids,
+    transfers that started in ``[t0, t1)`` — lowered through the
+    source's own interner.  It plugs into the production executors
+    like any store, and pickles as the record lists it holds.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[JobRecord] = (),
+        files: Sequence[FileRecord] = (),
+        transfers: Sequence[TransferRecord] = (),
+    ) -> None:
+        self.jobs, self.files = list(jobs), list(files)
+        self.transfers = list(transfers)
+        self.interner = StringInterner()
+        self.generation = 1
+
+    def materialize_window(self, t0: float, t1: float, user_jobs_only: bool = True):
+        jobs = [
+            j for j in self.jobs
+            if j.endtime is not None and in_window(j.endtime, t0, t1)
+            and (not user_jobs_only or j.prodsourcelabel == "user")
+        ]
+        pandaids = {j.pandaid for j in jobs}
+        files = [f for f in self.files if f.pandaid in pandaids]
+        transfers = [t for t in self.transfers if in_window(t.starttime, t0, t1)]
+        columns = WindowColumns.lower(jobs, files, transfers, self.interner)
+        return jobs, files, transfers, columns
+
 
 # -- the join -----------------------------------------------------------------
 
@@ -146,14 +193,8 @@ def run_matcher(
 
 
 def window_records(source, plan: WindowPlan):
-    """The §4.2 pre-selection through the per-record query surface."""
-    if plan.user_jobs_only:
-        jobs = source.user_jobs_completed_in(plan.t0, plan.t1)
-    else:
-        jobs = source.jobs_completed_in(plan.t0, plan.t1)
-    transfers = source.transfers_started_in(plan.t0, plan.t1)
-    files = source.files_of_jobs([j.pandaid for j in jobs])
-    return jobs, files, transfers
+    """The §4.2 pre-selection: a window's jobs, files and transfers."""
+    return source.materialize_window(plan.t0, plan.t1, plan.user_jobs_only)[:3]
 
 
 def build_report(source, plan: WindowPlan, matchers: Sequence[BaseMatcher]) -> MatchingReport:

@@ -32,7 +32,7 @@ from repro.exec import (
     build_report,
     match_artifacts,
 )
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.telemetry.records import UNKNOWN_SITE
 
 from tests import oracle
@@ -272,13 +272,8 @@ class TestParity:
             )
 
 
-def _ingest(jobs, files, transfers) -> OpenSearchLike:
-    source = OpenSearchLike()
-    source.jobs.ingest(jobs)
-    source.files.ingest(files)
-    source.transfers.ingest(transfers)
-    source.warm_interner()
-    return source
+def _ingest(jobs, files, transfers) -> PackSource:
+    return PackSource.from_records(jobs, files, transfers)
 
 
 class TestMaterializeWindowFastPath:
@@ -287,9 +282,9 @@ class TestMaterializeWindowFastPath:
         source = _ingest([job], files, transfers)
         t0, t1 = 0.0, 10_000.0
         jobs_f, files_f, transfers_f, cols = source.materialize_window(t0, t1)
-        assert jobs_f == source.user_jobs_completed_in(t0, t1)
-        assert transfers_f == source.transfers_started_in(t0, t1)
-        assert files_f == source.files_of_jobs([j.pandaid for j in jobs_f])
+        assert list(jobs_f) == list(source.user_jobs_completed_in(t0, t1))
+        assert list(transfers_f) == list(source.transfers_started_in(t0, t1))
+        assert list(files_f) == list(source.files_of_jobs([j.pandaid for j in jobs_f]))
         assert cols.transfers.row_id.tolist() == [t.row_id for t in transfers_f]
 
     def test_partial_window_gathers_subset(self):
@@ -304,7 +299,7 @@ class TestMaterializeWindowFastPath:
         source = _ingest([job], files, transfers)
         first = source.column_packs()
         assert source.column_packs() is first
-        source.transfers.ingest([make_transfer(row_id=99, start=50.0)])
+        source.ingest_batch(transfers=[make_transfer(row_id=99, start=50.0)])
         second = source.column_packs()
         assert second is not first
         assert len(second.transfers) == len(first.transfers) + 1

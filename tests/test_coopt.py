@@ -3,41 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.coopt.awareness import EwmaEstimate, PerformanceAwareness
+from repro.coopt.awareness import PerformanceAwareness
 from repro.coopt.broker2 import CoOptimizedBroker
 from repro.coopt.policies import TransferDeduplicator, advise
+from repro.coopt.state import link_rows_from_matches, snapshot_from_rows
+from repro.core.matching.base import JobMatch
 from repro.core.anomaly.report import AnomalyReport, build_anomaly_report
 from repro.grid.presets import build_mini
 from repro.panda.job import DataAccessMode, Job, JobKind
 from repro.rucio.activities import TransferActivity
 from repro.rucio.did import DID
-from repro.rucio.transfer import TransferEvent, TransferRequest
+from repro.rucio.transfer import TransferRequest
+
+from tests.helpers import make_job, make_transfer
 
 
-def event(src="A", dst="B", size=1000, start=0.0, end=10.0, ok=True) -> TransferEvent:
-    return TransferEvent(
-        transfer_id=1, lfn="f", scope="s", dataset="d", proddblock="d",
-        file_size=size, source_rse=f"{src}_DATADISK", dest_rse=f"{dst}_DATADISK",
-        source_site=src, destination_site=dst,
-        activity=TransferActivity.ANALYSIS_DOWNLOAD,
-        submitted_at=0.0, starttime=start, endtime=end, success=ok,
-    )
-
-
-class TestEwma:
-    def test_first_sample_sets_value(self):
-        e = EwmaEstimate(alpha=0.5)
-        e.update(10.0)
-        assert e.get(0.0) == 10.0
-
-    def test_converges(self):
-        e = EwmaEstimate(alpha=0.5)
-        for _ in range(50):
-            e.update(4.0)
-        assert e.get(0.0) == pytest.approx(4.0)
-
-    def test_default_when_empty(self):
-        assert EwmaEstimate().get(7.0) == 7.0
+def absorb_matches(aw, matches, site_rows=()) -> None:
+    """Feed matched evidence the way the control loop does: fold rows
+    cut into a snapshot, installed through ``absorb``."""
+    link_rows = link_rows_from_matches(matches)
+    aw.absorb(snapshot_from_rows(list(site_rows), link_rows, aw.site_names))
 
 
 class TestAwareness:
@@ -47,12 +32,15 @@ class TestAwareness:
 
     def test_link_throughput_learns(self, aw):
         prior = aw.link_throughput("CERN-PROD", "BNL-ATLAS")
-        aw.on_transfer(event("CERN-PROD", "BNL-ATLAS", size=10**9, start=0, end=1))
+        t = make_transfer(src="CERN-PROD", dst="BNL-ATLAS", size=10**9,
+                          start=0.0, end=1.0)
+        absorb_matches(aw, [JobMatch(job=make_job(), transfers=[t])])
         assert aw.link_throughput("CERN-PROD", "BNL-ATLAS") != prior
 
     def test_failed_transfers_ignored(self, aw):
         prior = aw.link_throughput("CERN-PROD", "BNL-ATLAS")
-        aw.on_transfer(event("CERN-PROD", "BNL-ATLAS", ok=False))
+        t = make_transfer(src="CERN-PROD", dst="BNL-ATLAS", success=False)
+        absorb_matches(aw, [JobMatch(job=make_job(), transfers=[t])])
         assert aw.link_throughput("CERN-PROD", "BNL-ATLAS") == prior
 
     def test_queue_wait_rises_with_backlog(self, aw):
@@ -65,18 +53,8 @@ class TestAwareness:
         assert aw.expected_queue_wait("CERN-PROD") > 0
 
     def test_failure_rate_tracks_jobs(self, aw):
-        job = Job(
-            pandaid=1, jeditaskid=1, kind=JobKind.ANALYSIS,
-            access_mode=DataAccessMode.DIRECT_LOCAL, input_dataset=None,
-            input_file_dids=[], ninputfilebytes=0, noutputfilebytes=0,
-            creation_time=0.0,
-        )
-        job.computing_site = "CERN-PROD"
-        job.start_time, job.end_time = 10.0, 20.0
-        from repro.panda.job import JobStatus
-        job.status = JobStatus.FAILED
-        for _ in range(20):
-            aw.on_job_done(job)
+        failed = [("CERN-PROD", 10.0, True)] * 20
+        absorb_matches(aw, [], site_rows=failed)
         assert aw.failure_rate("CERN-PROD") > 0.5
 
     def test_staging_estimate(self, aw):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.matching.evaluation import evaluate_against_truth
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.rucio.activities import TransferActivity
 from repro.telemetry.degradation import DegradationConfig, MetadataDegrader
 
@@ -69,7 +69,9 @@ def random_config(draw):
 def test_matching_invariants_under_any_degradation(campaign, cfg, seed):
     degrader = MetadataDegrader(cfg, np.random.default_rng(seed))
     telemetry = degrader.degrade(campaign.collector, campaign.panda.tasks)
-    source = OpenSearchLike.from_telemetry(telemetry)
+    source = PackSource.from_records(
+        telemetry.jobs, telemetry.files, telemetry.transfers
+    )
     known = campaign.known_site_names()
     t0, t1 = campaign.window
     report = MatchingPipeline(source, known_sites=known).run(t0, t1)

@@ -19,7 +19,7 @@ from repro.core.analysis.thresholds import threshold_sweep_result
 from repro.core.matching.base import MatchResult
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.sim.engine import Engine
 from repro.telemetry.records import UNKNOWN_SITE
 
@@ -67,7 +67,7 @@ class TestEmptyPopulations:
         assert m.geometric_mean_pair_volume() == 0.0
 
     def test_pipeline_on_empty_store(self):
-        source = OpenSearchLike()
+        source = PackSource.from_records([], [], [])
         report = MatchingPipeline(source).run(0.0, 100.0)
         assert report.n_jobs == 0
         assert all(report[m].n_matched_jobs == 0 for m in report.methods)

@@ -6,6 +6,8 @@ eliminate repeated pre-selections and ``ColumnarIndex`` builds; and
 cache entries must die when the source's data generation changes.
 """
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.columnar import ColumnarIndex
@@ -23,19 +25,15 @@ from repro.exec import (
     make_executor,
     sliding_plans,
 )
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 
 from tests.helpers import make_file, make_job, make_transfer, matching_triple
 
 
-def tiny_source() -> OpenSearchLike:
+def tiny_source() -> PackSource:
     """A private one-job source (safe to mutate, unlike the fixtures)."""
     job, files, transfers = matching_triple()
-    source = OpenSearchLike()
-    source.jobs.ingest([job])
-    source.files.ingest(files)
-    source.transfers.ingest(transfers)
-    return source
+    return PackSource.from_records([job], files, transfers)
 
 
 class TestWindowPlan:
@@ -91,8 +89,9 @@ class TestArtifactCache:
         assert len(stale.jobs) == 1
 
         job2 = make_job(pandaid=2, jeditaskid=200)
-        source.jobs.ingest([job2])
-        source.files.ingest([make_file(pandaid=2, jeditaskid=200, lfn="g0")])
+        source.ingest_batch(
+            jobs=[job2], files=[make_file(pandaid=2, jeditaskid=200, lfn="g0")]
+        )
 
         fresh = cache.get(plan)
         assert fresh is not stale
@@ -235,7 +234,7 @@ class TestBatchedPreselection:
         per_job = []
         for j in jobs:
             per_job.extend(small_study.source.files_of_job(j.pandaid))
-        assert sorted(map(id, batched)) == sorted(map(id, per_job))
+        assert sorted(map(astuple, batched)) == sorted(map(astuple, per_job))
 
     def test_pipeline_preselect_files_batched(self, small_study):
         pipeline = MatchingPipeline(small_study.source)
@@ -275,7 +274,7 @@ class TestPersistentPool:
             before = ex.execute(source, [plan])[0]
             job2, files2, _ = matching_triple()
             job2 = make_job(pandaid=999_999, creation=1.0, start=2.0, end=3.0)
-            source.jobs.ingest([job2])
+            source.ingest_batch(jobs=[job2])
             after = ex.execute(source, [plan])[0]
             assert ex.pool_inits == 2
             assert after.n_jobs >= before.n_jobs

@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.columnar.packs import WindowColumns
 from repro.core.matching.base import JobMatch, LazyMatches, MatchResult
 from repro.core.matching.rm3 import RM3Matcher
 from repro.exec import (
@@ -133,7 +134,8 @@ class TestLazyResultContracts:
 
         class NoWindowPickler(pickle.Pickler):
             def persistent_id(self, obj):
-                assert not isinstance(obj, (LazyRecords, PackSource)), type(obj)
+                window = (LazyRecords, PackSource, WindowColumns)
+                assert not isinstance(obj, window), type(obj)
                 return None
 
         buf = io.BytesIO()
@@ -142,6 +144,7 @@ class TestLazyResultContracts:
         assert back == report and report == back
         for m in report.methods:
             assert type(back[m].matches) is list
+            assert back[m]._frame is not None  # the frame ships instead
             assert back[m].matched_pairs() == report[m].matched_pairs()
 
     def test_serial_equals_parallel(self, dataset):
@@ -231,6 +234,37 @@ class TestLazyResultContracts:
                 got = _in_threads(read, 8)
                 assert builds == [1]
                 assert all(g is got[0] for g in got)
+        finally:
+            sys.setswitchinterval(previous)
+
+
+    def test_stress_racing_first_frame_reads(self, dataset):
+        """More readers than cores race a result's first ``frame()``:
+        each gets a frame equal to a single reader's, and the result
+        drops its candidate arrays only once a frame is published."""
+        _, expected = _lazy_report(dataset)
+        want = {m: expected[m].frame() for m in expected.methods}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                _, report = _lazy_report(dataset)
+                for m in report.methods:
+                    res = report[m]
+                    barrier = threading.Barrier(8)
+
+                    def read(k, res=res, barrier=barrier):
+                        barrier.wait()
+                        return res.frame() if k % 2 else res.matched_pairs()
+
+                    got = _in_threads(read, 8)
+                    for k, value in enumerate(got):
+                        if k % 2:
+                            assert value.matched_pairs() == want[m].matched_pairs()
+                            assert np.array_equal(value.job_offsets, want[m].job_offsets)
+                        else:
+                            assert value == want[m].matched_pairs()
+                    assert res._frame is not None and res._frame_args is None
         finally:
             sys.setswitchinterval(previous)
 

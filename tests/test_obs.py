@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.obs import (
     LATENCY_BUCKETS,
     NOOP_INSTRUMENT,
@@ -315,13 +315,15 @@ class TestExporters:
 @pytest.fixture(scope="module")
 def obs_run(small_telemetry, small_study):
     """Matching + stream replay under an enabled bundle, plus baselines."""
-    baseline_source = OpenSearchLike.from_telemetry(small_telemetry)
+    tele = small_telemetry
+    baseline_source = PackSource.from_records(tele.jobs, tele.files, tele.transfers)
     t0, t1 = small_study.harness.window
     known = small_study.harness.known_site_names()
     baseline = MatchingPipeline(baseline_source, known_sites=known).run(t0, t1)
 
     bundle = Obs.collecting()
-    source = OpenSearchLike.from_telemetry(small_telemetry)
+    with use_obs(bundle):
+        source = PackSource.from_records(tele.jobs, tele.files, tele.transfers)
     pipeline = MatchingPipeline(source, known_sites=known, obs=bundle)
     report = pipeline.run(t0, t1)
     with use_obs(bundle):

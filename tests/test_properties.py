@@ -10,7 +10,6 @@ from repro.core.anomaly.imbalance import gini_coefficient
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.rm1 import RM1Matcher
 from repro.core.matching.rm2 import RM2Matcher
-from repro.metastore.index import FieldIndex
 from repro.panda.harvester import interval_union_length
 from repro.reporting.figures import sparkline
 from repro.sim.engine import Engine
@@ -66,31 +65,6 @@ def test_interval_union_monotone_in_intervals(xs, ys):
 def test_interval_union_at_most_sum(xs):
     total = sum(b - a for a, b in xs)
     assert interval_union_length(xs, 0, 1000) <= total + 1e-9
-
-
-# -- field index vs brute force ------------------------------------------------------
-
-
-@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=80),
-       st.integers(min_value=-60, max_value=60),
-       st.integers(min_value=-60, max_value=60))
-@settings(max_examples=80, deadline=None)
-def test_field_index_range_matches_bruteforce(values, lo, hi):
-    idx = FieldIndex("v")
-    for i, v in enumerate(values):
-        idx.add(i, v)
-    got = idx.range(gte=min(lo, hi), lt=max(lo, hi))
-    expected = {i for i, v in enumerate(values) if min(lo, hi) <= v < max(lo, hi)}
-    assert got == expected
-
-
-@given(st.lists(st.sampled_from("abcde"), max_size=60), st.sampled_from("abcde"))
-@settings(max_examples=60, deadline=None)
-def test_field_index_term_matches_bruteforce(values, probe):
-    idx = FieldIndex("v")
-    for i, v in enumerate(values):
-        idx.add(i, v)
-    assert idx.term(probe) == {i for i, v in enumerate(values) if v == probe}
 
 
 # -- matching monotonicity on random degraded populations ------------------------------

@@ -1,7 +1,6 @@
 """Additional property-based tests: subset matcher, popularity decay,
 bandwidth conservation, temporal profiles."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,32 +132,3 @@ def test_temporal_gini_bucket_invariance_bounds(transfers, bucket):
     prof = transfer_volume_profile(transfers, 0.0, 1100.0, bucket_seconds=bucket)
     g = prof.temporal_gini()
     assert -1e-9 <= g <= 1.0
-
-
-# -- differential test: fast vs reference bandwidth implementation -------------------
-
-
-@st.composite
-def boundary_transfers(draw):
-    """Transfers that may straddle the analysis window on either side."""
-    n = draw(st.integers(min_value=0, max_value=15))
-    out = []
-    for i in range(n):
-        start = draw(st.floats(min_value=-300, max_value=1200))
-        dur = draw(st.floats(min_value=0.001, max_value=500))
-        size = draw(st.integers(min_value=1, max_value=10**6))
-        out.append(make_transfer(row_id=i + 1, size=size,
-                                 start=max(0.0, start), end=max(0.0, start) + dur))
-    return out
-
-
-@given(boundary_transfers(), st.floats(min_value=20, max_value=400))
-@settings(max_examples=100, deadline=None)
-def test_fast_bandwidth_matches_reference(transfers, bucket):
-    from repro.core.analysis.bandwidth import bandwidth_series_fast
-
-    ref = bandwidth_series(transfers, 0.0, 1000.0, bucket_seconds=bucket)
-    fast = bandwidth_series_fast(transfers, 0.0, 1000.0, bucket_seconds=bucket)
-    assert fast.bytes_per_bucket.shape == ref.bytes_per_bucket.shape
-    np.testing.assert_allclose(
-        fast.bytes_per_bucket, ref.bytes_per_bucket, rtol=1e-7, atol=1e-3)

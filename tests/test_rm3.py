@@ -41,7 +41,7 @@ from repro.core.matching import (
 from repro.core.matching.base import JobMatch, MatchResult
 from repro.exec import WindowPlan
 from repro.exec.executor import make_matchers
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.stream import EventKind, EventLog, StreamProcessor
 from repro.telemetry.groundtruth import GroundTruth
 from repro.telemetry.records import UNKNOWN_SITE
@@ -318,13 +318,8 @@ class TestThresholdSemantics:
 T0, T1 = 0.0, 10_000.0
 
 
-def _ingest(jobs, files, transfers) -> OpenSearchLike:
-    source = OpenSearchLike()
-    source.jobs.ingest(jobs)
-    source.files.ingest(files)
-    source.transfers.ingest(transfers)
-    source.warm_interner()
-    return source
+def _ingest(jobs, files, transfers) -> PackSource:
+    return PackSource.from_records(jobs, files, transfers)
 
 
 def _disorder(events) -> float:

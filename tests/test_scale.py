@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.opensearch import OpenSearchLike
 from repro.scenarios.scale import (
     DEFAULT_RUNGS,
     PAPER_RUNG,
@@ -23,6 +22,8 @@ from repro.scenarios.scale import (
     scale_ladder,
 )
 from repro.workload.scale import ScaleConfig, synthesize
+
+from tests.oracle import RecordSource
 
 CONFIG = ScaleConfig(n_jobs=240, seed=7)
 
@@ -80,16 +81,14 @@ class TestGroundTruth:
             assert report[method].n_matched_jobs == expected
 
     def test_parity_with_record_based_metastore(self, dataset):
-        # The PackSource is the array-native fast path; the same records
-        # pushed through the reference OpenSearchLike store must produce
-        # a bit-identical report.
+        # The same records scanned by the brute-force reference store
+        # must produce a bit-identical report.
         ds = dataset
         src = ds.source
         jobs = [src.job_record(i) for i in range(ds.n_jobs)]
         files = [src.file_record(i) for i in range(ds.n_files)]
         transfers = [src.transfer_record(i) for i in range(ds.n_transfers)]
-        ref = OpenSearchLike()
-        ref.ingest_batch(jobs=jobs, files=files, transfers=transfers)
+        ref = RecordSource(jobs, files, transfers)
         got = MatchingPipeline(src, known_sites=ds.known_sites).run(*ds.window)
         want = MatchingPipeline(ref, known_sites=ds.known_sites).run(*ds.window)
         for m in want.methods:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec.analysis import run_analyses
 from repro.exec.plan import WindowPlan
-from repro.metastore.opensearch import OpenSearchLike
+from repro.metastore.packsource import PackSource
 from repro.serve import (
     SHED_QUEUE,
     SHED_RATE,
@@ -79,11 +79,8 @@ def _records(n: int = 24, base: int = 0, site_cycle=("SITE-A", "SITE-B")):
     return jobs, files, transfers
 
 
-def _source(n: int = 24) -> OpenSearchLike:
-    source = OpenSearchLike()
-    jobs, files, transfers = _records(n)
-    source.ingest_batch(jobs=jobs, files=files, transfers=transfers)
-    return source
+def _source(n: int = 24) -> PackSource:
+    return PackSource.from_records(*_records(n))
 
 
 def _service(source=None, **config_kw) -> MatchService:
@@ -417,6 +414,21 @@ class TestServiceSync:
         assert after.value.n_jobs > before.value.n_jobs
         direct = MatchingPipeline(source, known_sites=KNOWN_SITES).run(T0, T1)
         assert bit_identical(after.value, direct)
+
+    def test_pack_source_ingest_mid_run_serves_new_generation(self):
+        """Serving over the array-native store: an ingest between
+        queries bumps its generation, and the next answer equals a
+        direct recompute over the grown store, bit for bit."""
+        source = PackSource.from_records(*_records())
+        service = _service(source, verify_every=1)
+        before = service.handle("alpha", AnalysisQuery(T0, T1, spec="headline"))
+        assert service.ingest(*_records(n=6, base=60_000)) == 6 * 5
+        after = service.handle("beta", MatchQuery(T0, T1))
+        assert after.generation == source.generation > before.generation
+        assert not after.cached
+        direct = MatchingPipeline(source, known_sites=KNOWN_SITES).run(T0, T1)
+        assert bit_identical(after.value, direct)
+        assert (service.verify_samples, service.verify_violations) == (2, 0)
 
     def test_verification_sampling_counts(self):
         service = _service(verify_every=2)

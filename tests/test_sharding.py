@@ -5,7 +5,7 @@ per-slice sorted ``(values, ids)`` shards.  The load-bearing
 requirement is that sharding is a *representation* change, never a
 semantic one: at slice widths of one, one half and one seventh of the
 window, window materialization and match reports must equal the
-unsharded record store's (``OpenSearchLike``), and the streaming
+brute-force record scan's (``tests.oracle.RecordSource``), and the streaming
 replay must equal the batch report at every width — including windows
 that straddle shard seams.  The hypothesis suite drives that property
 over random populations; the unit tests cover key assignment, routing,
@@ -21,13 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.metastore.opensearch import OpenSearchLike
 from repro.metastore.packsource import PackSource, _TimeShards
 from repro.stream import EventLog, StreamProcessor
 from repro.telemetry.degradation import DegradedTelemetry
 from repro.telemetry.groundtruth import GroundTruth
 
 from tests.helpers import make_file, make_job, make_transfer
+from tests.oracle import RecordSource
 
 WINDOW = 7 * 86400.0
 KNOWN_SITES = {"SITE-A", "SITE-B"}
@@ -135,10 +135,8 @@ def window(draw):
     return t0, t1
 
 
-def _reference(jobs, files, transfers) -> OpenSearchLike:
-    ref = OpenSearchLike()
-    ref.ingest_batch(jobs=jobs, files=files, transfers=transfers)
-    return ref
+def _reference(jobs, files, transfers) -> RecordSource:
+    return RecordSource(jobs, files, transfers)
 
 
 def _pack_sources(jobs, files, transfers):
@@ -213,7 +211,7 @@ class TestShardParity:
         )
         jobs_before = dict(src._job_shards.shards)
         transfers_before = dict(src._transfer_shards.shards)
-        src.append_records(jobs=_jobs(180.0, first_pandaid=3))
+        src.ingest_batch(jobs=_jobs(180.0, first_pandaid=3))
         after = src._job_shards.shards
         assert sorted(after) == [0, 1]
         assert after[0][0] is jobs_before[0][0]

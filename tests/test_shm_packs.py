@@ -22,10 +22,10 @@ from repro.exec.executor import (
     source_token,
 )
 from repro.exec.plan import WindowPlan
-from repro.metastore.opensearch import OpenSearchLike
 from repro.metastore.packsource import PackSource
 
 from tests.helpers import make_file, make_job, make_transfer, matching_triple
+from tests.oracle import RecordSource
 
 KNOWN_SITES = {"SITE-A", "SITE-B"}
 
@@ -42,27 +42,11 @@ def _records():
     return [job, job2], files, transfers
 
 
-def _source() -> OpenSearchLike:
-    jobs, files, transfers = _records()
-    src = OpenSearchLike()
-    src.ingest_batch(jobs=jobs, files=files, transfers=transfers)
-    return src
-
-
-def _pack_source() -> PackSource:
+def _source() -> PackSource:
     return PackSource.from_records(*_records())
 
 
 PLAN = WindowPlan(0.0, 10_000.0)
-
-
-class _RecordsOnly:
-    """The window query surface of a source, without full-table packs."""
-
-    def __init__(self, inner: OpenSearchLike) -> None:
-        self.inner = inner
-        self.generation = inner.generation
-        self.materialize_window = inner.materialize_window
 
 
 # -- export / attach --------------------------------------------------------------
@@ -70,7 +54,7 @@ class _RecordsOnly:
 
 class TestArchiveRoundTrip:
     def test_attach_reproduces_the_window(self):
-        src = _pack_source()
+        src = _source()
         archive = shm.PackArchive.export(src)
         try:
             attached = archive.attach()
@@ -87,7 +71,7 @@ class TestArchiveRoundTrip:
             archive.unlink()
 
     def test_attached_arrays_are_readonly_memmaps(self):
-        src = _pack_source()
+        src = _source()
         archive = shm.PackArchive.export(src)
         try:
             attached = archive.attach()
@@ -97,29 +81,13 @@ class TestArchiveRoundTrip:
         finally:
             archive.unlink()
 
-    def test_export_wraps_record_sources(self):
-        # An OpenSearchLike is not a PackSource; export lowers a sidecar
-        # from its record collections and the attach is still faithful.
-        src = _source()
-        archive = shm.PackArchive.export(src)
-        try:
-            attached = archive.attach()
-            jobs, files, transfers, _ = src.materialize_window(0.0, 10_000.0)
-            a_jobs, a_files, a_transfers, _ = attached.materialize_window(
-                0.0, 10_000.0
-            )
-            assert list(a_jobs) == list(jobs)
-            assert list(a_files) == list(files)
-            assert list(a_transfers) == list(transfers)
-        finally:
-            archive.unlink()
-
     def test_export_without_columnar_surface_raises(self):
-        with pytest.raises(shm.ExportError):
-            shm.PackArchive.export(object())
+        for source in (object(), RecordSource(*_records())):
+            with pytest.raises(shm.ExportError):
+                shm.PackArchive.export(source)
 
     def test_unlink_removes_spool_directory(self):
-        archive = shm.PackArchive.export(_pack_source())
+        archive = shm.PackArchive.export(_source())
         assert archive.exists()
         archive.unlink()
         assert not archive.exists()
@@ -131,7 +99,7 @@ class TestArchiveRoundTrip:
 
 class TestArchiveRegistry:
     def test_acquire_is_shared_and_release_unlinks_last(self):
-        src = _pack_source()
+        src = _source()
         key = ("source", ("tok", -1), src.generation, "columnar")
         a1 = shm.acquire(src, key)
         a2 = shm.acquire(src, key)
@@ -210,7 +178,7 @@ class TestExecutorSeeding:
 
     def test_row_engine_defaults_to_pickle(self):
         """A source without column packs seeds workers by pickling."""
-        src = _RecordsOnly(_source())
+        src = RecordSource(*_records())
         with ParallelExecutor(workers=2) as ex:
             report = ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
             assert ex.seed_mode == "pickle"
@@ -325,7 +293,7 @@ class TestConcurrentLifecycle:
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        src = _pack_source()
+        src = _source()
         key = ("source", ("tok", -9), src.generation, "columnar")
         barrier = threading.Barrier(4)
 

@@ -6,18 +6,13 @@ size, with any sufficient lateness bound — the accumulated state equals
 the reference batch report (``tests/oracle.py``) via dataclass ``==``,
 for Exact/RM1/RM2.
 The hypothesis suite drives exactly that property; the unit tests cover
-the building blocks (event log, watermark, incremental index freeze,
+the building blocks (event log, watermark, the store's micro-batch
 ``ingest_batch``, folds, metrics, the live collector tap).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import pickle
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,9 +24,7 @@ from repro.core.matching.base import BaseMatcher
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec import ArtifactCache, WindowPlan, default_matchers
 from repro.grid.presets import build_mini
-from repro.metastore.index import FieldIndex
-from repro.metastore.opensearch import OpenSearchLike
-from repro.metastore.query import Range
+from repro.metastore.packsource import PackSource
 from repro.obs import Obs, use_obs
 from repro.scenarios.runtime import HarnessConfig, SimulationHarness
 from repro.stream import (
@@ -83,11 +76,10 @@ def live_log(live_harness) -> EventLog:
 @pytest.fixture(scope="module")
 def live_batch(live_harness, live_log):
     """The oracle's batch report over exactly the log's records."""
-    source = OpenSearchLike()
-    source.ingest_batch(
-        jobs=[e.record for e in live_log if e.kind is EventKind.JOB],
-        files=[f for e in live_log if e.kind is EventKind.JOB for f in e.files],
-        transfers=[e.record for e in live_log if e.kind is EventKind.TRANSFER],
+    source = oracle.RecordSource(
+        [e.record for e in live_log if e.kind is EventKind.JOB],
+        [f for e in live_log if e.kind is EventKind.JOB for f in e.files],
+        [e.record for e in live_log if e.kind is EventKind.TRANSFER],
     )
     return oracle.build_report(
         source,
@@ -259,69 +251,11 @@ class TestEventLog:
             list(live_log.micro_batches(batch_seconds=0.0))
 
 
-# -- incremental index freeze -----------------------------------------------------
+# -- the store's micro-batch ingest ------------------------------------------------
 
 
-def _bulk_source(jobs=(), files=(), transfers=()) -> OpenSearchLike:
-    source = OpenSearchLike()
-    source.jobs.ingest(jobs)
-    source.files.ingest(files)
-    source.transfers.ingest(transfers)
-    source.warm_interner()
-    return source
-
-
-class TestIncrementalFreeze:
-    def test_appends_do_not_trigger_full_rebuilds(self):
-        transfers = [make_transfer(row_id=i, start=float(i)) for i in range(20)]
-        source = _bulk_source(transfers=transfers[:10])
-        # Force the sorted columns to exist, then count rebuilds.
-        source.transfers.search(Range("starttime", gte=0.0, lt=100.0))
-        before = FieldIndex.full_builds
-        for i in range(10, 20):
-            source.transfers.ingest([transfers[i]])
-            source.transfers.search(Range("starttime", gte=0.0, lt=100.0))
-        assert FieldIndex.full_builds == before
-
-    def test_incremental_range_parity_with_bulk(self):
-        """Wherever the first query lands — before any append, midway,
-        or only after the last one — the index it builds and every
-        append merged into it answer like a bulk-built index."""
-        rng = random.Random(5)
-        starts = [rng.uniform(0.0, 1000.0) for _ in range(200)]
-        # duplicates exercise the equal-value doc-id ordering
-        starts[50:60] = [starts[0]] * 10
-        transfers = [make_transfer(row_id=i, start=s) for i, s in enumerate(starts)]
-        queries = [
-            Range("starttime", gte=lo, lt=hi)
-            for lo, hi in [(0.0, 1000.0), (100.0, 400.0), (starts[0], starts[0] + 1e-9)]
-        ]
-        bulk = _bulk_source(transfers=transfers)
-        cuts = list(range(37, 200, 13))
-        for first_query in (0, len(cuts) // 2, len(cuts)):
-            inc = _bulk_source(transfers=transfers[:37])
-            for k, i in enumerate(cuts):
-                if k == first_query:
-                    inc.transfers.search(queries[1])
-                inc.transfers.ingest(transfers[i : i + 13])
-            for q in queries:
-                assert inc.transfers.search(q) == bulk.transfers.search(q)
-
-    def test_non_numeric_flip_still_correct(self):
-        idx = FieldIndex("x")
-        idx.add(0, 1.5)
-        idx.freeze()
-        idx.add(1, "oops")  # column flips non-numeric after a freeze
-        idx.freeze()
-        assert idx.term("oops") == {1}
-        with pytest.raises(TypeError):
-            idx.range_ids(gte=0.0)
-
-    def test_append_bumps_generation(self):
-        source = _bulk_source(transfers=[make_transfer(row_id=1)])
-        gen = source.generation
-        source.transfers.ingest([make_transfer(row_id=2)])
-        assert source.generation > gen
+def _bulk_source(jobs=(), files=(), transfers=()) -> PackSource:
+    return PackSource.from_records(list(jobs), list(files), list(transfers))
 
 
 class TestIngestBatch:
@@ -332,15 +266,15 @@ class TestIngestBatch:
         """The first query may come before any batch, midway, or only
         after the last: the answers equal the bulk store's each time."""
         tele = live_harness.telemetry()
-        bulk = OpenSearchLike.from_telemetry(tele)
+        bulk = _bulk_source(tele.jobs, tele.files, tele.transfers)
         t0, t1 = live_harness.window
         pandaids = [j.pandaid for j in bulk.user_jobs_completed_in(t0, t1)]
 
         def answers(source):
             return (
-                source.user_jobs_completed_in(t0, t1),
-                source.transfers_started_in(t0, t1),
-                source.files_of_jobs(pandaids),
+                list(source.user_jobs_completed_in(t0, t1)),
+                list(source.transfers_started_in(t0, t1)),
+                list(source.files_of_jobs(pandaids)),
             )
 
         expected = answers(bulk)
@@ -350,7 +284,7 @@ class TestIngestBatch:
             self._chunks(tele.transfers, 23) + [[]] * 99,
         ))
         for first_query in (0, len(batches) // 2, len(batches)):
-            inc = OpenSearchLike()
+            inc = _bulk_source()
             for k, (jobs, files, transfers) in enumerate(batches):
                 if k == first_query:
                     answers(inc)
@@ -363,18 +297,18 @@ class TestIngestBatch:
         source.ingest_batch(transfers=[make_transfer(row_id=2, start=2.0)])
         extended = source.column_packs()
         assert len(extended.transfers.starttime) == 2
-        # extension happened inside ingest_batch, no lazy rebuild needed
+        # the append extended the columns; the old packs are untouched
         assert extended is not packs
+        assert len(packs.transfers) == 1
         np.testing.assert_array_equal(extended.transfers.row_id, [1, 2])
 
     def test_pack_extension_matches_full_lower(self, live_harness):
         tele = live_harness.telemetry()
-        bulk = OpenSearchLike.from_telemetry(tele)
-        inc = OpenSearchLike()
+        bulk = _bulk_source(tele.jobs, tele.files, tele.transfers)
+        inc = _bulk_source()
         inc.ingest_batch(
             jobs=tele.jobs[:5], files=tele.files[:9], transfers=tele.transfers[:11]
         )
-        inc.column_packs()  # lower now, then extend via later batches
         inc.ingest_batch(
             jobs=tele.jobs[5:], files=tele.files[9:], transfers=tele.transfers[11:]
         )
@@ -403,94 +337,31 @@ class TestIngestBatch:
         assert len(fresh.jobs) == 2
         assert cache.misses == 2
 
-
-# -- field indices on demand ------------------------------------------------------
-
-
-def _assert_packs_equal(a, b):
-    for name in ("jobs", "files", "transfers"):
-        pa, pb = getattr(a, name), getattr(b, name)
-        for f in dataclasses.fields(pa):
-            np.testing.assert_array_equal(getattr(pa, f.name), getattr(pb, f.name))
+    def test_append_bumps_generation(self):
+        source = _bulk_source(transfers=[make_transfer(row_id=1)])
+        gen = source.generation
+        source.ingest_batch()
+        assert source.generation == gen  # an empty batch changes nothing
+        source.ingest_batch(transfers=[make_transfer(row_id=2)])
+        assert source.generation > gen
 
 
-class TestOnDemandIndex:
-    def test_replay_builds_no_index_and_lowers_no_packs(
-        self, live_harness, live_log, live_batch
-    ):
-        """The stream never queries its store, so a replay builds no
-        field index and never lowers the full-table packs."""
-        before = FieldIndex.full_builds
+# -- the stream holds no store ---------------------------------------------------
+
+
+class TestStorelessReplay:
+    def test_replay_opens_no_ingest_span(self, live_harness, live_log, live_batch):
+        """The stream keeps accepted events in its own pending state:
+        a replay appends to no store."""
         bundle = Obs.collecting()
         with use_obs(bundle):
             proc = _stream(
                 live_harness, None, live_log.micro_batches(batch_seconds=2 * 3600.0)
             )
         assert proc.report() == live_batch
-        source = proc.source
-        assert len(source.transfers) > 0
-        for col in (source.jobs, source.files, source.transfers):
-            assert col._indices == {}
-        assert FieldIndex.full_builds == before
         names = {s.name for s in bundle.tracer.spans}
-        assert "metastore.ingest_batch" in names
-        assert "metastore.lower_packs" not in names
-        assert "metastore.build_index" not in names
-
-    def test_first_query_builds_once_in_a_span(self):
-        transfers = [make_transfer(row_id=i, start=float(i)) for i in range(5)]
-        source = _bulk_source(transfers=transfers)
-        bundle = Obs.collecting()
-        with use_obs(bundle):
-            source.transfers_started_in(0.0, 3.0)
-            source.transfers_started_in(1.0, 4.0)
-        builds = [
-            (s.cat, s.attrs["collection"], s.attrs["field"], s.attrs["n_docs"])
-            for s in bundle.tracer.spans if s.name == "metastore.build_index"
-        ]
-        assert builds == [("metastore", "transfers", "starttime", 5)]
-
-    def test_racing_first_materialize_is_identical(self, live_harness):
-        """Eight readers race the first window query on a fresh store:
-        every one sees the answer a single reader gets."""
-        tele = live_harness.telemetry()
-        t0, t1 = live_harness.window
-        expected = OpenSearchLike.from_telemetry(tele).materialize_window(t0, t1)
-        source = OpenSearchLike.from_telemetry(tele)
-        barrier = threading.Barrier(8, timeout=30)
-
-        def first_query():
-            barrier.wait()
-            return source.materialize_window(t0, t1)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                futures = [pool.submit(first_query) for _ in range(8)]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for *records, packs in results:
-            assert tuple(records) == expected[:3]
-            _assert_packs_equal(packs, expected[3])
-
-    def test_pickle_round_trip_after_queries(self, live_harness):
-        tele = live_harness.telemetry()
-        t0, t1 = live_harness.window
-        source = OpenSearchLike.from_telemetry(tele)
-        answer = source.materialize_window(t0, t1)
-        assert source.jobs._indices  # the query built indices
-        clone = pickle.loads(pickle.dumps(source))
-        again = clone.materialize_window(t0, t1)
-        assert again[:3] == answer[:3]
-        _assert_packs_equal(again[3], answer[3])
-        # the clone's built indices keep merging later appends
-        late = make_job(pandaid=10**9, end=t0 + 1.0)
-        for s in (source, clone):
-            s.ingest_batch(jobs=[late])
-        assert clone.user_jobs_completed_in(t0, t1) == source.user_jobs_completed_in(t0, t1)
-        assert late in clone.user_jobs_completed_in(t0, t1)
+        assert "stream.batch" in names
+        assert "metastore.ingest_batch" not in names
 
 
 # -- collector window query -------------------------------------------------------
@@ -592,7 +463,8 @@ class TestStreamingParity:
         job, files, transfers = matching_triple()
         tele = SimpleNamespace(jobs=[job, job], files=files + files, transfers=transfers)
         t0, t1 = 0.0, 10_000.0
-        batch = MatchingPipeline(OpenSearchLike.from_telemetry(tele)).run(t0, t1)
+        source = PackSource.from_records(tele.jobs, tele.files, tele.transfers)
+        batch = MatchingPipeline(source).run(t0, t1)
         assert [len(batch[m].matches) for m in batch.methods] == [2, 2, 2]
         proc = replay_window(tele, t0, t1, batch_seconds=50.0)
         assert proc.report() == batch

@@ -1,8 +1,9 @@
 """Window-boundary regression tests (``repro.window``).
 
-Every window cut in the repo — collector bisect, OpenSearchLike field
-indexes, sharded PackSource searchsorted cuts, event-log trimming, and
-stream ingest — must agree on the half-open convention ``[t0, t1)``:
+Every window cut in the repo — collector bisect, the brute-force
+record scan the store is checked against (``tests.oracle.RecordSource``),
+sharded PackSource searchsorted cuts, event-log trimming, and stream
+ingest — must agree on the half-open convention ``[t0, t1)``:
 records exactly at t0 are IN, records exactly at t1 are OUT.  These
 tests pin that agreement with records placed exactly on the
 boundaries (and, for the sharded source, exactly on shard seams, where
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metastore.opensearch import OpenSearchLike
 from repro.metastore.packsource import PackSource
 from repro.stream import EventLog, StreamProcessor
 from repro.telemetry.collector import TelemetryCollector
 from repro.window import in_window
 
 from tests.helpers import make_file, make_job, make_transfer
+from tests.oracle import RecordSource
 
 T0, T1 = 1000.0, 2000.0
 
@@ -65,11 +66,8 @@ def test_collector_bisect_matches_convention():
     assert {j.pandaid for j in collector.jobs_completed_in_window(T0, T1)} == EXPECTED
 
 
-def test_field_index_queries_match_convention():
-    source = OpenSearchLike()
-    source.ingest_batch(jobs=boundary_jobs(), transfers=boundary_transfers())
-    assert {j.pandaid for j in source.jobs_completed_in(T0, T1)} == EXPECTED
-    assert {t.row_id for t in source.transfers_started_in(T0, T1)} == EXPECTED
+def test_record_reference_matches_convention():
+    source = RecordSource(boundary_jobs(), [], boundary_transfers())
     jobs, _, transfers, _ = source.materialize_window(T0, T1)
     assert {j.pandaid for j in jobs} == EXPECTED
     assert {t.row_id for t in transfers} == EXPECTED
@@ -89,10 +87,10 @@ def test_sharded_pack_source_matches_convention():
     assert {t.row_id for t in transfers} == EXPECTED
 
 
-def _reference(jobs, transfers) -> OpenSearchLike:
-    source = OpenSearchLike()
-    source.ingest_batch(jobs=jobs, transfers=transfers)
-    return source
+def _reference_window(jobs, transfers, t0, t1):
+    """(jobs, transfers) of the brute-force scan, any job label."""
+    found = RecordSource(jobs, [], transfers).materialize_window(t0, t1, False)
+    return found[0], found[2]
 
 
 @pytest.mark.parametrize(
@@ -109,9 +107,8 @@ def test_pack_source_keeps_a_record_exactly_at_t0(slice_seconds, value):
     jobs = [make_job(pandaid=1, end=value)]
     transfers = [make_transfer(row_id=1, start=value)]
     source = PackSource.from_records(jobs, [], transfers, shard_seconds=slice_seconds)
-    reference = _reference(jobs, transfers)
     t0, t1 = value, value + slice_seconds
-    assert [j.pandaid for j in reference.jobs_completed_in(t0, t1)] == [1]
+    assert [j.pandaid for j in _reference_window(jobs, transfers, t0, t1)[0]] == [1]
     assert [j.pandaid for j in source.jobs_completed_in(t0, t1)] == [1]
     assert [t.row_id for t in source.transfers_started_in(t0, t1)] == [1]
 
@@ -140,12 +137,11 @@ def test_window_starting_on_a_record_matches_reference(pop, pick, span):
     jobs = [make_job(pandaid=i + 1, end=t) for i, t in enumerate(times)]
     transfers = [make_transfer(row_id=i + 1, start=t) for i, t in enumerate(times)]
     source = PackSource.from_records(jobs, [], transfers, shard_seconds=width)
-    reference = _reference(jobs, transfers)
     t0 = times[pick % len(times)]
     t1 = t0 + span * width
-    assert list(source.jobs_completed_in(t0, t1)) == reference.jobs_completed_in(t0, t1)
-    assert (list(source.transfers_started_in(t0, t1))
-            == reference.transfers_started_in(t0, t1))
+    ref_jobs, ref_transfers = _reference_window(jobs, transfers, t0, t1)
+    assert list(source.jobs_completed_in(t0, t1)) == ref_jobs
+    assert list(source.transfers_started_in(t0, t1)) == ref_transfers
 
 
 def test_event_log_trim_matches_convention():
