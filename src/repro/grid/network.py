@@ -81,6 +81,8 @@ class NetworkModel:
         self.seed = int(seed)
         self._profiles: Dict[Tuple[str, str], LinkProfile] = {}
         self._active: Dict[Tuple[str, str], int] = {}
+        #: (src, dst, bucket) -> congestion factor
+        self._congestion: Dict[Tuple[str, str, int], float] = {}
 
     # -- static link profile --------------------------------------------------
 
@@ -135,18 +137,26 @@ class NetworkModel:
         return 1.0 - prof.diurnal_amplitude * 0.5 * (1.0 + np.cos(phase))
 
     def congestion_factor(self, prof: LinkProfile, t: float) -> float:
-        """Piecewise-constant stochastic factor, deterministic per bucket."""
-        bucket = int(t // CONGESTION_BUCKET_SECONDS)
-        h = _stable_u32(self.seed, "cong", prof.src, prof.dst, bucket)
-        rng = np.random.default_rng(h)
-        if rng.random() < prof.deep_drop_prob:
-            # Deep drop: the link collapses to 5-20% of capacity for one
-            # bucket (the intermittent dips of Fig 8).
-            return float(rng.uniform(0.05, 0.20))
-        # Lognormal around 1 with the profile's spread, capped at 1 so
-        # congestion never *adds* capacity.
-        factor = float(rng.lognormal(0.0, prof.congestion_sigma))
-        return min(1.0, factor)
+        """Piecewise-constant stochastic factor, deterministic per bucket.
+
+        A pure function of ``(seed, link, bucket)``: each bucket's draw
+        seeds its own generator, so it is made once and memoized for
+        the life of the model.
+        """
+        key = (prof.src, prof.dst, int(t // CONGESTION_BUCKET_SECONDS))
+        factor = self._congestion.get(key)
+        if factor is None:
+            rng = np.random.default_rng(_stable_u32(self.seed, "cong", *key))
+            if rng.random() < prof.deep_drop_prob:
+                # Deep drop: the link collapses to 5-20% of capacity for
+                # one bucket (the intermittent dips of Fig 8).
+                factor = float(rng.uniform(0.05, 0.20))
+            else:
+                # Lognormal around 1 with the profile's spread, capped at
+                # 1 so congestion never *adds* capacity.
+                factor = min(1.0, float(rng.lognormal(0.0, prof.congestion_sigma)))
+            self._congestion[key] = factor
+        return factor
 
     def effective_bandwidth(self, src: str, dst: str, t: float, share: int = 1) -> float:
         """Per-transfer effective bandwidth on the link at time ``t``.

@@ -71,8 +71,16 @@ class PopularityTracker:
         """Sample a dataset proportionally to popularity (for
         demand-driven rebalancing); uniform over ``fallback`` when
         nothing has been accessed yet."""
-        items = [(d, self.score(d, now)) for d in list(self._entries)]
-        items = [(d, s) for d, s in items if s > 0]
+        # One pass: decay each entry in place exactly as _decay does.
+        items = []
+        neg_ln2, half_life = -math.log(2.0), self.half_life
+        for d, entry in self._entries.items():
+            dt = now - entry.last_update
+            if dt > 0:
+                entry.score *= math.exp(neg_ln2 * dt / half_life)
+                entry.last_update = now
+            if entry.score > 0:
+                items.append((d, entry.score))
         if not items:
             if fallback:
                 return fallback[int(rng.integers(len(fallback)))]

@@ -5,13 +5,14 @@ best source replica for a transfer "based on protocol, throughput, and
 network performance metrics".  Preference order: a replica already at
 the destination site (local copy between RSEs), then same-region
 sources, then the source with the highest current effective bandwidth
-to the destination.
+to the destination.  Bandwidth only breaks ties between candidates of
+the best locality, so it is evaluated only when such a tie exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.grid.topology import GridTopology
 from repro.rucio.did import DID
@@ -24,7 +25,6 @@ class SourceChoice:
 
     source_rse: str
     source_site: str
-    estimated_bandwidth: float
 
 
 class ReplicaSelector:
@@ -57,12 +57,10 @@ class ReplicaSelector:
         if not candidates:
             return None
 
+        # Rank by locality: 2 = at the destination site, 1 = same region.
         dest_region = self.topology.site(dest_site).region
-        network = self.topology.network
-        assert network is not None
-
-        best: Optional[SourceChoice] = None
-        best_score: tuple[int, float] = (-1, -1.0)
+        best_locality = -1
+        best: List[Tuple[str, str]] = []  # (rse, site) of the best locality
         for rep in candidates:
             src_site = self.topology.rse(rep.rse_name).site_name
             if src_site == dest_site:
@@ -71,14 +69,22 @@ class ReplicaSelector:
                 locality = 1
             else:
                 locality = 0
-            bw = network.effective_bandwidth(src_site, dest_site, now)
-            score = (locality, bw)
-            if score > best_score:
-                best_score = score
-                best = SourceChoice(
-                    source_rse=rep.rse_name, source_site=src_site, estimated_bandwidth=bw
-                )
-        return best
+            if locality > best_locality:
+                best_locality, best = locality, [(rep.rse_name, src_site)]
+            elif locality == best_locality:
+                best.append((rep.rse_name, src_site))
+
+        rse, site = best[0]
+        if len(best) > 1:
+            # A tie: the first candidate with the highest bandwidth wins.
+            network = self.topology.network
+            assert network is not None
+            best_bw = -1.0
+            for cand_rse, cand_site in best:
+                bw = network.effective_bandwidth(cand_site, dest_site, now)
+                if bw > best_bw:
+                    rse, site, best_bw = cand_rse, cand_site, bw
+        return SourceChoice(source_rse=rse, source_site=site)
 
     def rank(self, file_did: DID, dest_site: str, now: float) -> List[SourceChoice]:
         """All candidate sources, best first (diagnostics / co-optimization)."""

@@ -1,18 +1,19 @@
 """Discrete-event engine.
 
-The engine owns a binary heap of timestamped events.  Each event carries
-a callback; running the engine pops events in (time, sequence) order,
-advances the shared clock, and invokes the callback.  Sequence numbers
-make ordering stable for simultaneous events (FIFO among equals), which
-keeps seeded runs bit-reproducible.
+The engine owns a binary heap of ``(time, seq, event)`` entries.  Each
+event carries a callback; running the engine pops events in (time,
+sequence) order, advances the shared clock, and invokes the callback.
+Sequence numbers are unique, so they make ordering stable for
+simultaneous events (FIFO among equals), which keeps seeded runs
+bit-reproducible, and the heap never compares two events.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
 
 from repro.sim.clock import SimClock
 
@@ -21,20 +22,20 @@ class StopSimulation(Exception):
     """Raised by a callback to end the run immediately."""
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` so the heap is a total order.
-    ``cancelled`` events are popped and skipped rather than removed,
-    the standard lazy-deletion idiom for heap schedulers.
+    The engine's heap orders events by ``(time, seq)``.  ``cancelled``
+    events are popped and skipped rather than removed, the standard
+    lazy-deletion idiom for heap schedulers.
     """
 
     time: float
     seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], Any]
+    label: str = ""
+    cancelled: bool = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -45,7 +46,7 @@ class Engine:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock or SimClock()
-        self._heap: list[Event] = []
+        self._heap: list[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.events_executed = 0
 
@@ -57,8 +58,9 @@ class Engine:
         """Schedule ``callback`` at absolute time ``t`` (>= now)."""
         if t < self.clock.now:
             raise ValueError(f"cannot schedule in the past: {t} < {self.clock.now}")
-        ev = Event(time=t, seq=next(self._seq), callback=callback, label=label)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._seq)
+        ev = Event(time=t, seq=seq, callback=callback, label=label)
+        heapq.heappush(self._heap, (t, seq, ev))
         return ev
 
     def schedule_in(self, delay: float, callback: Callable[[], Any], label: str = "") -> Event:
@@ -69,14 +71,14 @@ class Engine:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 continue
             self.clock.advance_to(ev.time)
@@ -111,4 +113,4 @@ class Engine:
 
     def pending(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)

@@ -124,6 +124,9 @@ class IncrementalMatcher:
         self.n_jobs = 0
         self.n_transfers = 0
         self.n_transfers_with_taskid = 0
+        #: every ingested event by kind, in the window or not
+        self.n_job_events = 0
+        self.n_transfer_events = 0
 
     # -- ingest ----------------------------------------------------------------
 
@@ -138,8 +141,10 @@ class IncrementalMatcher:
         """
         jobs: List[StreamEvent] = []
         transfers: List[StreamEvent] = []
+        n_transfer_events = 0
         for e in events:
             if e.kind is EventKind.TRANSFER:
+                n_transfer_events += 1
                 t = e.record
                 if not in_window(t.starttime, self.t0, self.t1):
                     continue
@@ -151,6 +156,8 @@ class IncrementalMatcher:
                 if self.user_jobs_only and j.prodsourcelabel != "user":
                     continue
                 jobs.append(e)
+        self.n_transfer_events += n_transfer_events
+        self.n_job_events += len(events) - n_transfer_events
 
         for e in jobs:
             self._pending[e.seq] = e
@@ -334,10 +341,6 @@ class StreamProcessor:
         acc = self._acc
         acc.n_batches += 1
         acc.n_events += len(events)
-        acc.n_transfer_events += sum(
-            1 for e in events if e.kind is EventKind.TRANSFER
-        )
-        acc.n_job_events += sum(1 for e in events if e.kind is EventKind.JOB)
         acc.n_late_events += late
         acc.ingest_s += t_ingested - t_start
         acc.match_s += t_matched - t_ingested
@@ -427,6 +430,8 @@ class StreamProcessor:
 
     def metrics(self) -> StreamMetrics:
         return self._acc.snapshot(
+            n_job_events=self.matcher.n_job_events,
+            n_transfer_events=self.matcher.n_transfer_events,
             n_pending_jobs=self.matcher.n_pending,
             watermark=self.tracker.watermark,
             max_event_time=self.tracker.max_event_time,

@@ -52,8 +52,6 @@ class _MetricsAccumulator:
 
     n_batches: int = 0
     n_events: int = 0
-    n_job_events: int = 0
-    n_transfer_events: int = 0
     n_late_events: int = 0
     n_closed_jobs: int = 0
     last_delta: Dict[str, int] = field(default_factory=dict)
@@ -63,13 +61,19 @@ class _MetricsAccumulator:
     fold_s: float = 0.0
 
     def snapshot(
-        self, n_pending_jobs: int, watermark: float, max_event_time: float, lag: float
+        self,
+        n_job_events: int,
+        n_transfer_events: int,
+        n_pending_jobs: int,
+        watermark: float,
+        max_event_time: float,
+        lag: float,
     ) -> StreamMetrics:
         return StreamMetrics(
             n_batches=self.n_batches,
             n_events=self.n_events,
-            n_job_events=self.n_job_events,
-            n_transfer_events=self.n_transfer_events,
+            n_job_events=n_job_events,
+            n_transfer_events=n_transfer_events,
             n_late_events=self.n_late_events,
             n_pending_jobs=n_pending_jobs,
             n_closed_jobs=self.n_closed_jobs,

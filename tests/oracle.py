@@ -15,6 +15,13 @@ imports it.
 lists scanned per window, against which
 :class:`~repro.metastore.packsource.PackSource` is checked.
 
+The simulator's hot path has references too (the last section):
+a congestion factor drawn afresh on every call, a replica selector
+that scores every candidate by ``(locality, bandwidth)``, and a
+popularity pick that decays one entry per ``score()`` call.  Each has
+the signature of the production method it specifies, so the
+whole-world test in ``test_sim_hot_path`` can patch them in.
+
 Four record-level analyses keep their loops in production for callers
 that hold records but no packs (Table 1, site dashboards, the transfer
 matrix, the temporal profiles); :func:`analyze` calls those with
@@ -23,7 +30,9 @@ matrix, the temporal profiles); :func:`analyze` calls those with
 
 from __future__ import annotations
 
-from typing import Dict, List, Literal, Sequence, Set, Tuple
+from typing import Dict, List, Literal, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.columnar.interner import StringInterner
 from repro.columnar.packs import WindowColumns
@@ -52,6 +61,9 @@ from repro.core.matching.base import (
 )
 from repro.exec.analysis import DEFAULT_ANALYSES, AnalysisSpec
 from repro.exec.plan import WindowPlan
+from repro.grid.network import CONGESTION_BUCKET_SECONDS, LinkProfile, _stable_u32
+from repro.rucio.did import DID
+from repro.rucio.selector import SourceChoice
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
 from repro.window import in_window
 
@@ -355,3 +367,73 @@ def analyze(
             raise ValueError(f"unknown analysis {name!r}")
         out[name] = value
     return out
+
+
+# -- the simulator's hot path -------------------------------------------------
+
+
+def congestion_factor(network, prof: LinkProfile, t: float) -> float:
+    """``NetworkModel.congestion_factor``: a fresh generator per call,
+    seeded from ``(seed, link, bucket)``."""
+    bucket = int(t // CONGESTION_BUCKET_SECONDS)
+    h = _stable_u32(network.seed, "cong", prof.src, prof.dst, bucket)
+    rng = np.random.default_rng(h)
+    if rng.random() < prof.deep_drop_prob:
+        return float(rng.uniform(0.05, 0.20))
+    factor = float(rng.lognormal(0.0, prof.congestion_sigma))
+    return min(1.0, factor)
+
+
+def choose(
+    selector,
+    file_did: DID,
+    dest_site: str,
+    now: float,
+    exclude_rses: Optional[set] = None,
+) -> Optional[SourceChoice]:
+    """``ReplicaSelector.choose``: score every candidate by
+    ``(locality, bandwidth)``; the first maximum wins."""
+    topology = selector.topology
+    candidates = [
+        r for r in selector.replicas.available_replicas_of(file_did)
+        if not topology.rse(r.rse_name).kind.is_tape
+    ]
+    if exclude_rses:
+        candidates = [r for r in candidates if r.rse_name not in exclude_rses]
+    if not candidates:
+        return None
+    dest_region = topology.site(dest_site).region
+    best: Optional[SourceChoice] = None
+    best_score: Tuple[int, float] = (-1, -1.0)
+    for rep in candidates:
+        src_site = topology.rse(rep.rse_name).site_name
+        if src_site == dest_site:
+            locality = 2
+        elif topology.site(src_site).region == dest_region:
+            locality = 1
+        else:
+            locality = 0
+        score = (locality, topology.network.effective_bandwidth(src_site, dest_site, now))
+        if score > best_score:
+            best_score = score
+            best = SourceChoice(source_rse=rep.rse_name, source_site=src_site)
+    return best
+
+
+def pick_weighted(tracker, now: float, rng, fallback: Optional[List[DID]] = None):
+    """``PopularityTracker.pick_weighted``: one ``score()`` call (lookup
+    and decay) per tracked dataset, over a copy of the keys."""
+    items = [(d, tracker.score(d, now)) for d in list(tracker._entries)]
+    items = [(d, s) for d, s in items if s > 0]
+    if not items:
+        if fallback:
+            return fallback[int(rng.integers(len(fallback)))]
+        return None
+    total = sum(s for _, s in items)
+    x = float(rng.random()) * total
+    acc = 0.0
+    for d, s in items:
+        acc += s
+        if x <= acc:
+            return d
+    return items[-1][0]

@@ -363,6 +363,25 @@ class TestStorelessReplay:
         assert "stream.batch" in names
         assert "metastore.ingest_batch" not in names
 
+    def test_out_of_window_events_are_still_counted(self):
+        """The matcher drops events outside [t0, t1) (and non-user
+        jobs), but the metrics count every event it was handed."""
+        log = EventLog()
+        log.append_job(make_job(pandaid=1, end=2000.0))  # accepted
+        log.append_job(make_job(pandaid=2, end=9000.0))  # ends after t1
+        log.append_job(make_job(pandaid=3, end=500.0))  # ends before t0
+        log.append_job(make_job(pandaid=4, end=2500.0, label="managed"))
+        log.append_transfer(make_transfer(row_id=1, start=1500.0))  # accepted
+        log.append_transfer(make_transfer(row_id=2, start=10.0))
+        log.append_transfer(make_transfer(row_id=3, start=6000.0))
+        proc = StreamProcessor(1000.0, 5000.0)
+        proc.process(log.events[:3])
+        proc.process(log.events[3:])
+        proc.finish()
+        m = proc.metrics()
+        assert (m.n_events, m.n_job_events, m.n_transfer_events) == (7, 4, 3)
+        assert (proc.matcher.n_jobs, proc.matcher.n_transfers) == (1, 1)
+
 
 # -- collector window query -------------------------------------------------------
 
