@@ -544,8 +544,8 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
                    help="fraction of full-window analysis requests "
                         "(default %(default)s)")
     p.add_argument("--verify-every", type=int, default=0, metavar="N",
-                   help="recompute every Nth response directly and compare "
-                        "(0 = off)")
+                   help="recompute every Nth admitted request directly and "
+                        "compare (0 = off)")
 
 
 def build_parser() -> argparse.ArgumentParser:

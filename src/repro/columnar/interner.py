@@ -49,15 +49,15 @@ class StringInterner:
         """Vector of codes for a column of strings (interning unseen ones)."""
         codes = self._codes
         strings = self._strings
-        out = np.empty(len(values), dtype=np.int64)
-        for i, value in enumerate(values):
+        out = []
+        for value in values:
             code = codes.get(value)
             if code is None:
                 code = len(strings)
                 codes[value] = code
                 strings.append(value)
-            out[i] = code
-        return out
+            out.append(code)
+        return np.array(out, dtype=np.int64)
 
     def decode(self, code: int) -> str:
         return self._strings[code]

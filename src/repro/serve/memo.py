@@ -9,16 +9,26 @@ instead of a matching run.
 
 Two properties carry the correctness story:
 
-* **Generation keying.**  Every key starts with the source generation
-  observed under the service's read lock; an ``ingest_batch`` bumps the
-  generation, so stale entries can never be *looked up* again, and they
-  are evicted eagerly on the first miss of a newer generation (same
-  rule as the artifact cache).
+* **Generation keying.**  Every key starts with the source generation.
+  A flight starts and computes under the service's read lock, so an
+  entry keyed by generation g holds a result computed entirely at g;
+  an ``ingest_batch`` bumps the generation, so stale entries can never
+  be *looked up* again, and they are evicted eagerly on the first miss
+  of a newer generation (same rule as the artifact cache).
 * **Single flight.**  Concurrent identical queries — the common case
   when eight tenants watch one dashboard — share one computation: the
-  first caller computes while the rest block on a future and then reuse
-  the result object.  Failures are never cached; the leader's exception
-  propagates to every waiter and the key is released for retry.
+  first caller computes while the rest wait on its future and then
+  reuse the result object.  Failures are never cached; the leader's
+  exception propagates to every waiter and the key is released for
+  retry.
+
+Two entry points share the entries.  :meth:`ResultMemo.lookup` is the
+service's front door: it returns the entry's future, finished or in
+flight, and never starts a computation, so the event loop can answer a
+hit or await a flight without taking a worker.
+:meth:`ResultMemo.get_or_compute` is the worker's: it leads a new
+flight on a miss, or blocks on an existing one (a request that missed
+at the front door and found its key computed while it queued).
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.obs import get_obs
 
@@ -44,6 +54,17 @@ class ResultMemo:
         self.misses = 0
         self.evictions = 0
 
+    def lookup(self, key: tuple) -> Optional[Future]:
+        """The entry for ``key`` — finished or in flight — or None.
+
+        A found entry counts as a hit and moves to the LRU's young end;
+        a missing one counts nothing and starts no flight (the caller
+        computes through :meth:`get_or_compute`, which counts it).
+        """
+        obs = get_obs()
+        with self._lock:
+            return self._hit(key, obs)
+
     def get_or_compute(self, key: tuple, compute: Callable[[], object]) -> Tuple[object, bool]:
         """The memoized value for ``key``, computing it on first use.
 
@@ -54,14 +75,9 @@ class ResultMemo:
         """
         obs = get_obs()
         with self._lock:
-            flight = self._entries.get(key)
-            if flight is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                if obs.enabled:
-                    obs.metrics.counter("serve.memo", event="hit").inc()
-                leader = False
-            else:
+            flight = self._hit(key, obs)
+            leader = flight is None
+            if leader:
                 self.misses += 1
                 if obs.enabled:
                     obs.metrics.counter("serve.memo", event="miss").inc()
@@ -77,7 +93,6 @@ class ResultMemo:
                         break
                     del self._entries[dropped_key]
                     self._note_evictions(obs, 1)
-                leader = True
 
         if not leader:
             return flight.result(), True
@@ -92,6 +107,16 @@ class ResultMemo:
             raise
         flight.set_result(value)
         return value, False
+
+    def _hit(self, key: tuple, obs) -> Optional[Future]:
+        """The entry for ``key``, counted as a hit; call under the lock."""
+        flight = self._entries.get(key)
+        if flight is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            if obs.enabled:
+                obs.metrics.counter("serve.memo", event="hit").inc()
+        return flight
 
     def _note_evictions(self, obs, n: int) -> None:
         if n:

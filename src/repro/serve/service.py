@@ -10,6 +10,10 @@ workers.  Request flow::
     submit ──► admission (token bucket + queue bound) ──► shed?
                   │
                   ▼
+           memo lookup on the event loop ──► finished: respond at once
+                  │                     └──► in flight: await it on
+                  │ miss, or sampled              the loop, no worker
+                  ▼ for verification
            per-tenant FIFO + stride scheduler (weighted fair order)
                   │
                   ▼
@@ -18,11 +22,20 @@ workers.  Request flow::
                   ▼                 Exact/RM1/RM2 kernels / analyses
                response
 
+Only real computations take a worker: a memo hit is answered on the
+loop, and a request joining an in-flight computation waits there too,
+so fair scheduling orders only the requests that need a worker.  The
+loop reads the store generation without the lock; that is safe
+because it only grows, ``PackSource`` bumps it after an append is in
+place, and an entry keyed by generation g was computed entirely at g.
+A loop-served response carries the generation of the key it came
+from.
+
 Live ingest runs concurrently with serving: :meth:`ingest` appends
 through ``PackSource.ingest_batch`` under the write side of a
-reader-writer lock while queries hold the read side, so a query
-observes exactly one store generation end to end — the generation its
-memo key and response carry.  Stale
+reader-writer lock while computing queries hold the read side, so a
+computed answer observes exactly one store generation end to end — the
+generation its memo key and response carry.  Stale
 results can never be served: keys embed the generation, and the memo
 evicts dead generations on the next miss.
 
@@ -34,11 +47,12 @@ service threads then issue concurrent ``execute`` calls against one
 pool key, which is exactly the sharing contract the executor's lock
 now guarantees.
 
-Built-in verification: with ``verify_every=N`` every Nth completed
-request is recomputed directly (fresh artifacts, no cache, no memo)
-under the same read-lock hold and compared ``==`` — the serving
-layer's bit-identity claim, continuously sampled in production style
-rather than asserted once in a test.
+Built-in verification: with ``verify_every=N`` every Nth admitted
+request is sampled at admission and sent to a worker even when its key
+is memoized; there it is recomputed directly (fresh artifacts, no
+cache, no memo) under the same read-lock hold and compared ``==`` —
+the serving layer's bit-identity claim, continuously sampled in
+production style rather than asserted once in a test.
 """
 
 from __future__ import annotations
@@ -252,7 +266,7 @@ class ServeConfig:
     memo_entries: int = 512
     #: window-artifact cache capacity
     cache_entries: int = 32
-    #: recompute every Nth completed request directly and compare (0 = off)
+    #: recompute every Nth admitted request directly and compare (0 = off)
     verify_every: int = 0
 
     def __post_init__(self) -> None:
@@ -342,17 +356,23 @@ class MatchService:
             cached=cached,
         )
 
-    def _compute(self, query) -> Tuple[object, int, bool]:
+    def _compute(self, query, verify: Optional[bool] = None) -> Tuple[object, int, bool]:
+        """Serve ``query`` from the memo or compute it, under the read lock.
+
+        ``verify`` is the sampling decision :meth:`submit` made at
+        admission; the synchronous :meth:`handle` passes none and
+        samples here.
+        """
         with self.rwlock.read():
             generation = getattr(self.source, "generation", 0)
             key = query.key(generation)
             value, cached = self.memo.get_or_compute(
                 key, lambda: self._execute(query)
             )
-            if self.config.verify_every:
-                n = next(self._verify_counter)
-                if n % self.config.verify_every == 0:
-                    self._verify(query, value)
+            if verify is None:
+                verify = self._sampled()
+            if verify:
+                self._verify(query, value)
         return value, generation, cached
 
     def _spec(self, query: AnalysisQuery) -> AnalysisSpec:
@@ -393,6 +413,11 @@ class MatchService:
         return analyze_report(report, artifacts, [self._spec(query)])[query.spec]
 
     # -- verification ----------------------------------------------------------
+
+    def _sampled(self) -> bool:
+        """Count one request; True for every ``verify_every``-th."""
+        every = self.config.verify_every
+        return bool(every) and next(self._verify_counter) % every == 0
 
     def _direct(self, query):
         """Ground-truth recompute: no artifact cache, no memo, no pool."""
@@ -453,7 +478,13 @@ class MatchService:
             await asyncio.sleep(0.001)
 
     async def submit(self, tenant: str, query) -> Response:
-        """The async front door: admission → fair queue → worker pool."""
+        """The async front door: admission → memo → fair queue → workers.
+
+        An admitted request whose key the memo holds is answered on the
+        event loop: a finished entry at once, an in-flight one by
+        awaiting its flight.  Only a miss, or a request sampled for
+        verification, waits in the fair queue for a worker.
+        """
         if not self._running:
             raise RuntimeError("service is not started")
         obs = get_obs()
@@ -464,10 +495,57 @@ class MatchService:
                 obs.metrics.counter("serve.requests", tenant=tenant, status="shed").inc()
                 obs.metrics.counter("serve.shed", reason=reason).inc()
             return Response(tenant=tenant, status="shed", reason=reason)
+        verify = self._sampled()
+        if not verify:
+            # No lock: the generation only grows (module docstring),
+            # and a miss re-reads it under the lock in the worker.
+            generation = getattr(self.source, "generation", 0)
+            flight = self.memo.lookup(query.key(generation))
+            if flight is not None:
+                return await self._from_memo(tenant, flight, generation, t_submit)
         future = self._loop.create_future()
-        self.scheduler.push(tenant, (query, future, t_submit))
+        self.scheduler.push(tenant, (query, verify, future, t_submit))
         self._wake.set()
         return await future
+
+    async def _from_memo(self, tenant, flight, generation, t_submit) -> Response:
+        """Answer from a memo entry on the loop, without a worker."""
+        joined = not flight.done()
+        try:
+            if joined:
+                # The flight is shared: cancelling this request must
+                # not cancel it under the leader and the other waiters.
+                value = await asyncio.shield(asyncio.wrap_future(flight))
+            else:
+                value = flight.result()
+        except Exception:
+            obs = get_obs()
+            if obs.enabled:
+                obs.metrics.counter("serve.requests", tenant=tenant, status="error").inc()
+            raise
+        return self._respond(tenant, value, generation, True, t_submit, 0.0,
+                             "join" if joined else "hit")
+
+    def _respond(self, tenant, value, generation, cached, t_submit, queued,
+                 outcome) -> Response:
+        """An ``ok`` response, counted under ``serve.memo_served{outcome}``."""
+        response = Response(
+            tenant=tenant,
+            status="ok",
+            value=value,
+            generation=generation,
+            cached=cached,
+            latency=self._loop.time() - t_submit,
+            queued=queued,
+        )
+        obs = get_obs()
+        if obs.enabled:
+            obs.metrics.counter("serve.requests", tenant=tenant, status="ok").inc()
+            obs.metrics.histogram("serve.latency", tenant=tenant).observe(
+                response.latency
+            )
+            obs.metrics.counter("serve.memo_served", outcome=outcome).inc()
+        return response
 
     async def _dispatch_loop(self) -> None:
         while True:
@@ -479,11 +557,11 @@ class MatchService:
                 item = self.scheduler.pop()
                 if item is None:
                     break
-                tenant, (query, future, t_submit) = item
+                tenant, (query, verify, future, t_submit) = item
                 self._inflight += 1
                 t_start = self._loop.time()
                 work = self._loop.run_in_executor(
-                    self._pool, self._compute, query
+                    self._pool, self._compute, query, verify
                 )
                 asyncio.ensure_future(
                     self._finish(tenant, future, t_submit, t_start, work)
@@ -499,24 +577,8 @@ class MatchService:
             if not future.done():
                 future.set_exception(exc)
         else:
-            now = self._loop.time()
-            response = Response(
-                tenant=tenant,
-                status="ok",
-                value=value,
-                generation=generation,
-                cached=cached,
-                latency=now - t_submit,
-                queued=t_start - t_submit,
-            )
-            if obs.enabled:
-                obs.metrics.counter("serve.requests", tenant=tenant, status="ok").inc()
-                obs.metrics.histogram("serve.latency", tenant=tenant).observe(
-                    response.latency
-                )
-                obs.metrics.counter(
-                    "serve.memo_served", outcome="hit" if cached else "miss"
-                ).inc()
+            response = self._respond(tenant, value, generation, cached, t_submit,
+                                     t_start - t_submit, "hit" if cached else "miss")
             if not future.done():
                 future.set_result(response)
         finally:

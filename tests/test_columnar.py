@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import ColumnarIndex, StringInterner, supports_columnar
@@ -70,6 +70,29 @@ class TestStringInterner:
         assert codes.tolist() == [0, 1, 0]
         assert it.code_of("y") == 1
         assert it.code_of("never") == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcdef"), max_size=6),
+        st.lists(st.sampled_from("abcdefgh"), max_size=30),
+    )
+    @example(seen=["a", "b"], batch=["c", "a", "c", "d", "b", "d"])
+    def test_encode_equals_per_item_intern(self, seen, batch):
+        bulk, single = StringInterner(), StringInterner()
+        for value in seen:
+            bulk.intern(value)
+            single.intern(value)
+        codes = bulk.encode(batch)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [single.intern(value) for value in batch]
+        assert bulk.strings == single.strings
+
+    def test_encode_empty_is_int64(self):
+        it = StringInterner()
+        it.intern("a")
+        codes = it.encode([])
+        assert codes.dtype == np.int64 and codes.shape == (0,)
+        assert len(it) == 1
 
     def test_container_protocol(self):
         it = StringInterner()

@@ -7,13 +7,15 @@ for the same window — through the memo, through concurrent tenants,
 and across a mid-run ``ingest_batch`` generation bump (a stale cache
 entry must never be served).  Around that sit unit tests for the
 building blocks — token buckets, admission, stride scheduling,
-single-flight memoization, the reader-writer lock — and an asyncio
-end-to-end pass with admission sheds and open-loop load.
+single-flight memoization, the reader-writer lock — an asyncio
+end-to-end pass with admission sheds and open-loop load, and the
+event-loop path that answers memo hits and joins without a worker.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec.analysis import run_analyses
 from repro.exec.plan import WindowPlan
 from repro.metastore.packsource import PackSource
+from repro.obs import Obs, use_obs
 from repro.serve import (
     SHED_QUEUE,
     SHED_RATE,
@@ -260,6 +263,21 @@ class TestResultMemo:
         # oldest evicted: recompute happens
         _, cached = memo.get_or_compute((1, 0), lambda: "again")
         assert not cached
+
+    def test_lookup_never_starts_a_flight(self):
+        memo = ResultMemo(max_entries=2)
+        assert memo.lookup((1, "a")) is None
+        assert len(memo) == 0
+        assert (memo.stats["hits"], memo.stats["misses"]) == (0, 0)
+        value, _ = memo.get_or_compute((1, "a"), lambda: object())
+        memo.get_or_compute((1, "b"), lambda: object())
+        flight = memo.lookup((1, "a"))
+        assert flight.done() and flight.result() is value
+        assert memo.stats["hits"] == 1
+        # the lookup made "a" the youngest entry, so "b" is evicted
+        memo.get_or_compute((1, "c"), lambda: object())
+        assert memo.lookup((1, "b")) is None
+        assert memo.lookup((1, "a")) is flight
 
     def test_failure_not_cached(self):
         memo = ResultMemo()
@@ -633,6 +651,280 @@ class TestServiceAsync:
         assert service.verify_samples > 0
         assert service.verify_violations == 0
         assert service.source.generation > 1  # the bump really happened
+
+
+# -- the loop path: memo hits and joins answered without a worker -------------
+
+
+class _Held:
+    """Holds ``service._execute`` for one query until ``release`` is set,
+    so the query's memo flight stays in flight."""
+
+    def __init__(self, service: MatchService, query) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        execute = service._execute
+
+        def held(q):
+            if q == query:
+                self.entered.set()
+                if not self.release.wait(10.0):
+                    raise TimeoutError("leader was never released")
+            return execute(q)
+
+        service._execute = held
+
+    async def started(self) -> None:
+        for _ in range(1000):
+            if self.entered.is_set():
+                return
+            await asyncio.sleep(0.01)
+        raise AssertionError("the leader never reached _execute")
+
+
+def _count_computes(service: MatchService) -> list:
+    """Wrap ``service._compute``; the returned list gets each query."""
+    calls = []
+    compute = service._compute
+
+    def counted(query, *args):
+        calls.append(query)
+        return compute(query, *args)
+
+    service._compute = counted
+    return calls
+
+
+class TestLoopServed:
+    def test_memo_hit_is_answered_on_the_loop(self):
+        source = _source()
+        service = _service(source)
+        query = MatchQuery(T0, T1)
+        first = service.handle("alpha", query)
+        computes = _count_computes(service)
+
+        async def main():
+            async with service:
+                return await service.submit("beta", query)
+
+        response = asyncio.run(main())
+        assert response.ok and response.cached
+        assert response.value is first.value  # the memo's own object
+        assert response.queued == 0.0
+        assert response.generation == source.generation
+        assert computes == []
+
+    def test_join_waits_on_the_loop_and_leaves_the_worker_free(self):
+        service = _service()  # two workers
+        hot, other = MatchQuery(T0, T1), MatchQuery(T0, T1 / 2)
+        held = _Held(service, hot)
+        computes = _count_computes(service)
+
+        async def main():
+            async with service:
+                try:
+                    leader = asyncio.ensure_future(service.submit("alpha", hot))
+                    await held.started()
+                    joiner = asyncio.ensure_future(service.submit("beta", hot))
+                    # The joiner holds no worker, so a different query
+                    # runs at once on the second one.
+                    third = await asyncio.wait_for(service.submit("alpha", other), 5.0)
+                    assert not leader.done() and not joiner.done()
+                finally:
+                    held.release.set()
+                return await leader, await joiner, third
+
+        lead, join, third = asyncio.run(main())
+        assert not lead.cached
+        assert join.cached and join.queued == 0.0 and join.value is lead.value
+        for query, response in ((hot, lead), (hot, join), (other, third)):
+            assert bit_identical(response.value, service._direct(query))
+        assert computes == [hot, other]  # the joiner never reached a worker
+
+    def test_cancelled_joiner_leaves_the_flight_intact(self):
+        source = _source()
+        service = _service(source)
+        hot = MatchQuery(T0, T1)
+        held = _Held(service, hot)
+
+        async def main():
+            async with service:
+                try:
+                    leader = asyncio.ensure_future(service.submit("alpha", hot))
+                    await held.started()
+                    quitter = asyncio.ensure_future(service.submit("beta", hot))
+                    stayer = asyncio.ensure_future(service.submit("beta", hot))
+                    await asyncio.sleep(0.01)  # both wait on the flight
+                    quitter.cancel()
+                    await asyncio.sleep(0.01)  # the cancellation settles
+                finally:
+                    held.release.set()
+                done = await asyncio.gather(leader, stayer, return_exceptions=True)
+                return quitter, done
+
+        quitter, (lead, stay) = asyncio.run(main())
+        assert quitter.cancelled()
+        assert lead.ok and stay.ok  # neither is an exception
+        assert stay.value is lead.value
+        assert bit_identical(lead.value, service._direct(hot))
+        flight = service.memo.lookup(hot.key(source.generation))
+        assert flight is not None and flight.result() is lead.value
+
+    def test_verification_is_sampled_at_admission_on_a_worker(self):
+        service = _service(verify_every=3)
+        a, b = MatchQuery(T0, T1), MatchQuery(T0, T1 / 2)
+        queries = [a, b] * 5
+        verified = []
+        verify = service._verify
+
+        def recording(query, value):
+            verified.append((query, threading.current_thread().name))
+            verify(query, value)
+
+        service._verify = recording
+        computes = _count_computes(service)
+
+        async def main():
+            async with service:
+                return [await service.submit("alpha", q) for q in queries]
+
+        responses = asyncio.run(main())
+        sampled = [i for i in range(len(queries)) if (i + 1) % 3 == 0]
+        assert [q for q, _ in verified] == [queries[i] for i in sampled]
+        assert all(name.startswith("serve") for _, name in verified)
+        # every sampled key was memoized already, yet it took a worker
+        assert all(responses[i].cached for i in sampled)
+        assert len(computes) == 2 + len(sampled)
+        assert (service.verify_samples, service.verify_violations) == (3, 0)
+
+    def test_ingest_between_submits_is_not_served_the_old_entry(self):
+        source = _source()
+        service = _service(source)
+        query = MatchQuery(T0, T1)
+
+        async def main():
+            async with service:
+                before = await service.submit("alpha", query)
+                service.ingest(*_records(n=6, base=80_000))
+                after = await service.submit("alpha", query)
+                return before, after
+
+        before, after = asyncio.run(main())
+        assert after.generation == source.generation > before.generation
+        assert not after.cached and after.value is not before.value
+        assert bit_identical(after.value, service._direct(query))
+
+    def test_rate_limited_hits_are_still_shed(self):
+        service = MatchService(
+            _source(),
+            known_sites=KNOWN_SITES,
+            tenants={"alpha": 1.0},
+            config=ServeConfig(
+                max_workers=2,
+                policy=AdmissionPolicy(rate=0.001, burst=2.0, queue_depth=64),
+            ),
+        )
+        query = MatchQuery(T0, T1 / 4)
+        service.handle("alpha", query)  # memoized; handle() takes no token
+
+        async def main():
+            async with service:
+                return await asyncio.gather(*[
+                    service.submit("alpha", query) for _ in range(8)
+                ])
+
+        responses = asyncio.run(main())
+        ok = [r for r in responses if r.ok]
+        assert len(ok) == 2 and all(r.cached and r.queued == 0.0 for r in ok)
+        shed = [r for r in responses if not r.ok]
+        assert len(shed) == 6 and all(r.reason == SHED_RATE for r in shed)
+
+    def test_stress_loop_and_workers_share_the_memo(self):
+        """More workers than cores, a short switch interval and ingest
+        from another thread: every response equals the direct answer at
+        the generation it carries, and no memo count is lost."""
+        source = _source()
+        service = MatchService(
+            source,
+            known_sites=KNOWN_SITES,
+            tenants={"alpha": 1.0, "beta": 1.0},
+            config=ServeConfig(max_workers=4, policy=AdmissionPolicy(queue_depth=10_000)),
+        )
+        queries = [MatchQuery(T0, T1 * k / 4) for k in (1, 2, 3, 4)]
+        expected = {source.generation: {q: service._direct(q) for q in queries}}
+
+        def writer():  # the only writer, so each generation is stable here
+            for k in range(10):
+                service.ingest(*_records(n=4, base=90_000 + 1_000 * k))
+                expected[source.generation] = {q: service._direct(q) for q in queries}
+
+        async def main():
+            async with service:
+                thread = threading.Thread(target=writer)
+                tasks = []
+                for i in range(400):
+                    tenant = "alpha" if i % 2 else "beta"
+                    tasks.append(asyncio.ensure_future(service.submit(tenant, queries[i % 4])))
+                    if i == 40:
+                        thread.start()
+                    if i % 10 == 0:
+                        await asyncio.sleep(0.001)
+                responses = await asyncio.gather(*tasks)
+                thread.join(30.0)
+                assert not thread.is_alive()
+                return responses
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.ok for r in responses)
+        assert len({r.generation for r in responses}) > 1  # ingest landed mid-run
+        for i, r in enumerate(responses):
+            assert bit_identical(r.value, expected[r.generation][queries[i % 4]])
+        stats = service.memo.stats
+        assert stats["hits"] + stats["misses"] == len(responses)
+        assert stats["hits"] == sum(r.cached for r in responses)
+
+    def test_metrics_say_where_each_request_was_answered(self):
+        service = _service(verify_every=5)
+        cold, hot = MatchQuery(T0, T1 / 2), MatchQuery(T0, T1)
+        held = _Held(service, hot)
+
+        async def main():
+            async with service:
+                await service.submit("alpha", cold)  # miss, on a worker
+                await service.submit("alpha", cold)  # hit, on the loop
+                try:
+                    leader = asyncio.ensure_future(service.submit("alpha", hot))
+                    await held.started()  # miss, on a worker
+                    joiner = asyncio.ensure_future(service.submit("beta", hot))
+                    await asyncio.sleep(0.01)  # join, on the loop
+                finally:
+                    held.release.set()
+                await asyncio.gather(leader, joiner)
+                await service.submit("beta", cold)  # sampled: hit, on a worker
+
+        bundle = Obs.collecting()
+        with use_obs(bundle):
+            asyncio.run(main())
+        snap = bundle.metrics.snapshot()
+        served = {
+            c["labels"]["outcome"]: c["value"]
+            for c in snap["counters"] if c["name"] == "serve.memo_served"
+        }
+        assert served == {"miss": 2, "hit": 2, "join": 1}
+        ok = sum(
+            c["value"] for c in snap["counters"]
+            if c["name"] == "serve.requests" and c["labels"]["status"] == "ok"
+        )
+        latencies = sum(
+            h["count"] for h in snap["histograms"] if h["name"] == "serve.latency"
+        )
+        assert ok == latencies == 5
+        assert service.verify_samples == 1
 
 
 # -- load generator -----------------------------------------------------------
