@@ -18,10 +18,10 @@ from repro.units import TB, bytes_to_human
 
 
 def test_fig3_transfer_matrix(benchmark, threemonth):
-    telemetry = threemonth.telemetry
+    columns = threemonth.source.columns
     names = threemonth.site_names()
 
-    matrix = benchmark(build_transfer_matrix, telemetry.transfers, names)
+    matrix = benchmark(build_transfer_matrix, columns, names)
 
     stats = assess_imbalance(matrix)
 

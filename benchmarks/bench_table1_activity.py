@@ -24,10 +24,9 @@ PAPER_ROWS = {
 
 
 def test_table1_activity_breakdown(benchmark, eightday, eightday_report):
-    telemetry = eightday.telemetry
     exact = eightday_report["exact"]
 
-    rows = benchmark(activity_breakdown, exact, telemetry.transfers)
+    rows = benchmark(activity_breakdown, exact, eightday.source.columns)
 
     by_activity = {r.activity: r for r in rows}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.timeline import (
     find_failed_with_overlap,
     find_high_staging_success,
@@ -61,9 +62,9 @@ def main() -> None:
         print("  (none found at this scale — increase --days)")
 
     print("\n== Full anomaly report ==")
-    report = build_anomaly_report(
-        matches, telemetry.transfers,
-        site_names=study.harness.topology.site_names())
+    matrix = build_transfer_matrix(
+        study.source.columns, study.harness.topology.site_names())
+    report = build_anomaly_report(matches, telemetry.transfers, matrix=matrix)
     print(report)
 
     if report.redundant:

@@ -4,9 +4,12 @@
 §3.1 of the paper observes that PanDA's "send the job to its data"
 heuristic can overload compute at data-rich sites, and §7 calls for
 adaptive strategies where PanDA and Rucio share performance awareness.
-This example runs the same seeded campaign under both brokers and
-reports the trade: queuing delay, success rate, load balance across
-sites, and remote movement volume.
+This example runs the same seeded campaign on two rungs of the
+co-optimization ladder (:mod:`repro.coopt`): ``baseline``, the
+locality heuristic, and ``aware``, the broker fed by awareness folded
+from the degraded telemetry stream.  It reports the trade: queuing
+delay, success rate, load balance across sites, remote movement
+volume, and the §3.1 shift in failure composition.
 
 Usage::
 
@@ -17,8 +20,14 @@ from __future__ import annotations
 
 import argparse
 
+from repro.coopt import ControlLoop
+from repro.core.analysis.errors import compare_error_mixes
 from repro.reporting.tables import render_table
-from repro.scenarios.ablation import AblationConfig, run_ablation
+from repro.scenarios.runtime import HarnessConfig
+from repro.workload.generator import WorkloadConfig
+
+#: ladder rung -> the broker it stands for
+RUNGS = {"baseline": "locality", "aware": "coopt"}
 
 
 def main() -> None:
@@ -28,32 +37,50 @@ def main() -> None:
     parser.add_argument("--tasks-per-hour", type=float, default=8.0)
     args = parser.parse_args()
 
-    cfg = AblationConfig(
-        seed=args.seed, days=args.days,
-        analysis_tasks_per_hour=args.tasks_per_hour,
+    cfg = HarnessConfig(
+        seed=args.seed,
+        workload=WorkloadConfig(
+            duration=args.days * 86400.0,
+            analysis_tasks_per_hour=args.tasks_per_hour,
+            production_tasks_per_hour=1.0,
+            background_transfers_per_hour=60.0,
+        ),
     )
     print(f"Running the same {args.days:g}-day campaign under both brokers ...")
-    result = run_ablation(cfg)
+    loops = {policy: ControlLoop(cfg, policy) for policy in RUNGS}
+    for loop in loops.values():
+        loop.run()
+    base, aware = loops["baseline"].result, loops["aware"].result
 
-    rows = []
-    for m in (result.locality, result.coopt):
-        rows.append([
-            m.broker,
-            m.n_jobs,
-            f"{m.success_rate:.1%}",
-            f"{m.mean_queuing:.0f}s",
-            f"{m.p95_queuing:.0f}s",
-            f"{m.remote_bytes / 1e12:.2f} TB",
-            f"{m.load_imbalance:.4f}",
-        ])
+    rows = [
+        [
+            f"{RUNGS[r.policy]} ({r.policy})",
+            r.n_jobs,
+            f"{r.success_rate:.1%}",
+            f"{r.queue_mean:.0f}s",
+            f"{r.queue_p95:.0f}s",
+            f"{r.remote_bytes / 1e12:.2f} TB",
+            f"{r.load_imbalance:.4f}",
+        ]
+        for r in (base, aware)
+    ]
     print(render_table(
         ["broker", "jobs", "success", "mean queue", "p95 queue",
          "remote volume", "load imbalance"],
         rows,
     ))
 
-    print(f"\nqueue speedup (locality/coopt) : {result.queue_speedup:.2f}x")
-    print(f"load-balance gain              : {result.balance_gain:+.0%}")
+    speedup = base.queue_mean / aware.queue_mean if aware.queue_mean else 1.0
+    gain = 1.0 - aware.load_imbalance / base.load_imbalance if base.load_imbalance else 0.0
+    print(f"\nqueue speedup (locality/coopt) : {speedup:.2f}x")
+    print(f"load-balance gain              : {gain:+.0%}")
+
+    shift = compare_error_mixes(
+        loops["baseline"].harness.panda.terminal_jobs(),
+        loops["aware"].harness.panda.terminal_jobs(),
+    )
+    print("\nfailure composition (locality -> coopt):")
+    print(shift.summary())
     print(
         "\nReading: co-optimization trades extra remote movement for\n"
         "smoother site loads — exactly the §3.1 tension ('minimizing input\n"

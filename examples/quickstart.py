@@ -56,7 +56,7 @@ def main() -> None:
           f"geomean {stats.geomean_transfer_pct:.3f}%")
 
     print("\n== Table 1: matched transfers by activity ==")
-    print(render_activity_table(activity_breakdown(report["exact"], telemetry.transfers)))
+    print(render_activity_table(activity_breakdown(report["exact"], study.source.columns)))
 
     print("\n== Table 2: matching methods compared ==")
     print(render_method_tables(

@@ -45,7 +45,7 @@ def main() -> None:
     telemetry = study.telemetry
 
     print("\n== Site dashboards (hottest by failure rate) ==")
-    boards = build_dashboards(telemetry.jobs, telemetry.transfers)
+    boards = build_dashboards(study.source.columns)
     rows = []
     for b in hottest_sites(boards, by="failure_rate", top=8):
         rows.append([

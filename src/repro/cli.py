@@ -21,7 +21,6 @@
 * ``serve-bench`` — drive the service through a ladder of offered
   loads and write the p50/p95/p99 + shed-rate saturation artifact;
 * ``growth`` — print the Fig 2 cumulative-volume series;
-* ``ablation`` — locality vs co-optimized brokerage comparison;
 * ``export`` — dump degraded telemetry and matching results to files.
 """
 
@@ -31,6 +30,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.summary import (
     activity_breakdown,
     headline_stats,
@@ -114,7 +114,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_match(args) -> int:
     study = _study(args)
-    telemetry = study.telemetry
     report = study.matching_report(workers=args.workers, matchers=_matchers(args, study))
     headline_method = "exact" if "exact" in report.methods else report.methods[0]
     stats = headline_stats(report, method=headline_method)
@@ -127,8 +126,7 @@ def cmd_match(args) -> int:
     print(f"transfer-time in queue: mean {stats.mean_transfer_pct:.2f}% "
           f"geomean {stats.geomean_transfer_pct:.3f}%\n")
     if "exact" in report.methods:
-        print(render_activity_table(
-            activity_breakdown(report["exact"], telemetry.transfers, columns=columns)))
+        print(render_activity_table(activity_breakdown(report["exact"], columns)))
         print()
     print(render_method_tables(
         method_comparison_transfers(report),
@@ -240,9 +238,9 @@ def cmd_anomalies(args) -> int:
     study = _study(args)
     telemetry = study.telemetry
     matches = study.matching_report(workers=args.workers)["rm2"].matched_jobs()
-    report = build_anomaly_report(
-        matches, telemetry.transfers,
-        site_names=study.harness.topology.site_names())
+    matrix = build_transfer_matrix(
+        study.source.columns, study.harness.topology.site_names())
+    report = build_anomaly_report(matches, telemetry.transfers, matrix=matrix)
     print(report)
     if report.inferences:
         acc = inference_accuracy(report.inferences, telemetry.ground_truth.true_sites)
@@ -316,20 +314,6 @@ def cmd_growth(args) -> int:
         for p in model.series()
     ]
     print(render_table(["year", "ingested", "cumulative", "EB"], rows))
-    return 0
-
-
-def cmd_ablation(args) -> int:
-    from repro.obs import Obs
-    from repro.scenarios.ablation import AblationConfig, run_ablation
-
-    obs = Obs.collecting() if getattr(args, "obs", False) else None
-    args.obs_bundle = obs
-    result = run_ablation(AblationConfig(seed=args.seed, days=args.days), obs=obs)
-    print(result.locality.summary())
-    print(result.coopt.summary())
-    print(f"queue speedup: {result.queue_speedup:.2f}x  "
-          f"balance gain: {result.balance_gain:+.0%}")
     return 0
 
 
@@ -562,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, "points"),
         ("stream", cmd_stream, "stream"),
         ("anomalies", cmd_anomalies, None),
-        ("ablation", cmd_ablation, None),
         ("export", cmd_export, "out"),
     ):
         p = sub.add_parser(name, help=fn.__doc__)

@@ -3,18 +3,21 @@
 Cell (i, j) holds the total bytes moved from source site i to
 destination site j over the window.  The UNKNOWN pseudo-site gets its
 own row/column, aggregating "all transfers with either an unidentified
-source or destination" exactly as in the paper.
+source or destination" exactly as in the paper.  The matrix is built
+from the interned site columns of
+:class:`~repro.columnar.packs.WindowColumns`; ``tests/oracle.py``
+holds the per-record loop the parity tests check it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.columnar.packs import WindowColumns
-from repro.telemetry.records import UNKNOWN_SITE, TransferRecord
+from repro.telemetry.records import UNKNOWN_SITE
 
 
 @dataclass
@@ -95,17 +98,15 @@ class TransferMatrix:
 
 
 def build_transfer_matrix(
-    transfers: Sequence[TransferRecord],
-    site_names: Sequence[str],
-    columns: Optional[WindowColumns] = None,
+    columns: WindowColumns, site_names: Sequence[str]
 ) -> TransferMatrix:
     """Accumulate transfer volumes into the site matrix.
 
     ``site_names`` must include ``UNKNOWN`` to receive mislabelled
-    endpoints; records naming sites outside the list are folded into
-    UNKNOWN as well (invalid labels, §4.3).  With ``columns`` (packs
-    parallel to ``transfers``), the per-record dict lookups become one
-    code → matrix-index table gather over the interned site columns.
+    endpoints; transfers naming sites outside the list are folded into
+    UNKNOWN as well (invalid labels, §4.3).  One code → matrix-index
+    table gather over the interned site columns maps each transfer to
+    a flat ``src * n + dst`` cell, and one bincount sums the bytes.
     """
     names = list(site_names)
     index: Dict[str, int] = {n: i for i, n in enumerate(names)}
@@ -113,32 +114,14 @@ def build_transfer_matrix(
         raise ValueError("site_names must include the UNKNOWN pseudo-site")
     unk = index[UNKNOWN_SITE]
     n = len(names)
-    if not transfers and (columns is None or len(columns.transfers) == 0):
+    tp, it = columns.transfers, columns.interner
+    if len(tp) == 0:
         return TransferMatrix(site_names=names, volume=np.zeros((n, n)))
-    # Vectorised accumulation: map each record to a flat (src*n + dst)
-    # cell id and bincount the byte weights — O(records) with no Python
-    # arithmetic in the loop body beyond the dict lookups.
-    if columns is not None:
-        tp, it = columns.transfers, columns.interner
-        lut = np.full(len(it), unk, dtype=np.int64)
-        for name, i in index.items():
-            code = it.code_of(name)
-            if code >= 0:
-                lut[code] = i
-        src = lut[tp.src]
-        dst = lut[tp.dst]
-        sizes = tp.size.astype(np.float64)
-    else:
-        src = np.fromiter(
-            (index.get(t.source_site, unk) for t in transfers), dtype=np.int64,
-            count=len(transfers),
-        )
-        dst = np.fromiter(
-            (index.get(t.destination_site, unk) for t in transfers), dtype=np.int64,
-            count=len(transfers),
-        )
-        sizes = np.fromiter(
-            (t.file_size for t in transfers), dtype=np.float64, count=len(transfers),
-        )
-    flat = np.bincount(src * n + dst, weights=sizes, minlength=n * n)
+    lut = np.full(len(it), unk, dtype=np.int64)
+    for name, i in index.items():
+        code = it.code_of(name)
+        if code >= 0:
+            lut[code] = i
+    cell = lut[tp.src] * n + lut[tp.dst]
+    flat = np.bincount(cell, weights=tp.size.astype(np.float64), minlength=n * n)
     return TransferMatrix(site_names=names, volume=flat.reshape(n, n))

@@ -2,27 +2,24 @@
 
 Aggregates everything an operator needs per site — job throughput and
 failure rates, queuing statistics, inbound/outbound traffic, and error
-composition — in one pass over the degraded records.  This is the
+composition — from one window's column packs.  This is the
 "site view" that turns the paper's global diagnoses (hot spots,
 imbalance, shifted error patterns) into actionable per-site facts.
+``tests/oracle.py`` holds the per-record loop the parity tests check
+it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from repro.columnar.kernels import group_boundaries
 from repro.columnar.packs import WindowColumns
-from repro.core.analysis.errors import (
-    ErrorFamily,
-    ErrorMix,
-    error_mix,
-    grouped_error_mixes,
-)
-from repro.telemetry.records import JobRecord, TransferRecord, UNKNOWN_SITE
+from repro.core.analysis.errors import ErrorFamily, ErrorMix, grouped_error_mixes
+from repro.telemetry.records import UNKNOWN_SITE
 
 
 @dataclass
@@ -61,60 +58,18 @@ class SiteDashboard:
         return self.error_mix.dominant_family()
 
 
-def build_dashboards(
-    jobs: Sequence[JobRecord],
-    transfers: Sequence[TransferRecord],
-    columns: Optional[WindowColumns] = None,
-) -> Dict[str, SiteDashboard]:
-    """One pass over both record sets; returns site -> dashboard.
+def build_dashboards(columns: WindowColumns) -> Dict[str, SiteDashboard]:
+    """Per-site dashboards over one window's packs; returns site -> dashboard.
 
-    With ``columns`` (packs parallel to the record lists), the counts,
-    byte totals and error mixes come from bincounts over site codes and
-    the job pack's status and error-code columns, and no record is read
-    — identical values in identical dict insertion order, so even
-    tie-breaking in :func:`hottest_sites` and
-    :meth:`ErrorMix.dominant_family` is unchanged.
+    The counts, byte totals and error mixes are bincounts over site
+    codes and the job pack's status and error-code columns.  Sites
+    appear in first-appearance order: jobs first, then each transfer's
+    source before its destination.  That insertion order decides ties
+    in :func:`hottest_sites` and :meth:`ErrorMix.dominant_family`.
     """
-    if columns is not None:
-        return _build_dashboards_columnar(columns)
-    boards: Dict[str, SiteDashboard] = {}
-
-    def board(site: str) -> SiteDashboard:
-        if site not in boards:
-            boards[site] = SiteDashboard(site=site)
-        return boards[site]
-
-    jobs_by_site: Dict[str, List[JobRecord]] = {}
-    for j in jobs:
-        site = j.computingsite or UNKNOWN_SITE
-        b = board(site)
-        b.n_jobs += 1
-        if not j.succeeded:
-            b.n_failed += 1
-        q = j.queuing_time
-        if q is not None:
-            b.queue_times.append(q)
-        jobs_by_site.setdefault(site, []).append(j)
-
-    for site, js in jobs_by_site.items():
-        boards[site].error_mix = error_mix(js)
-
-    for t in transfers:
-        src = t.source_site or UNKNOWN_SITE
-        dst = t.destination_site or UNKNOWN_SITE
-        if src == dst:
-            board(src).bytes_local += t.file_size
-        else:
-            board(src).bytes_out += t.file_size
-            board(dst).bytes_in += t.file_size
-
-    return boards
-
-
-def _build_dashboards_columnar(columns: WindowColumns) -> Dict[str, SiteDashboard]:
     jp, tp, it = columns.jobs, columns.transfers, columns.interner
-    # Canonical site codes: the empty label folds into UNKNOWN (the
-    # reference's ``site or UNKNOWN_SITE``).  When UNKNOWN itself was
+    # Canonical site codes: the empty label folds into UNKNOWN (a
+    # record's ``site or UNKNOWN_SITE``).  When UNKNOWN itself was
     # never interned, a synthetic code one past the vocabulary stands
     # in for it.
     unk = it.code_of(UNKNOWN_SITE)
@@ -130,12 +85,12 @@ def _build_dashboards_columnar(columns: WindowColumns) -> Dict[str, SiteDashboar
     t_src = canon(tp.src)
     t_dst = canon(tp.dst)
 
-    # Reproduce the reference's dict insertion order: jobs first, then
-    # each transfer's source before its destination.  (A local transfer
-    # only touches its source board, but since src == dst there, the
-    # interleaved sequence has the same first appearances.)  Each
-    # code's first position is one minimum-scatter over the small code
-    # domain, not a sort of the whole sequence.
+    # Dict insertion order: jobs first, then each transfer's source
+    # before its destination.  (A local transfer only touches its
+    # source board, but since src == dst there, the interleaved
+    # sequence has the same first appearances.)  Each code's first
+    # position is one minimum-scatter over the small code domain, not
+    # a sort of the whole sequence.
     pair = np.stack([t_src, t_dst], axis=1).ravel() if len(t_src) else t_src
     seq = np.concatenate([j_site, pair])
     n_codes = unk + 1 if synthetic_unk else len(it)
@@ -152,7 +107,7 @@ def _build_dashboards_columnar(columns: WindowColumns) -> Dict[str, SiteDashboar
     mixes = grouped_error_mixes(j_idx, failed, jp.error_code, n_sites)
 
     # np.bincount adds its weights in input order, the same float
-    # additions as the reference's per-transfer ``+=``.
+    # additions as a per-transfer ``+=``.
     local = t_src == t_dst
     sizes = tp.size.astype(np.float64)
     bytes_local = np.bincount(lut[t_src[local]], sizes[local], minlength=n_sites)

@@ -2,17 +2,16 @@
 
 Table 2 and the headline numbers run over each result's
 :class:`~repro.columnar.frame.MatchFrame`.  Table 1's totals run over
-*all* of the window's transfers, not just matched ones: with the
-window's :class:`~repro.columnar.packs.WindowColumns` they are
-bincounts over activity codes, and callers holding only records get a
-per-record loop.  Either way it is integer counting, so the outputs are
-identical, not merely close.
+*all* of the window's transfers, not just matched ones: bincounts over
+the activity codes of the window's
+:class:`~repro.columnar.packs.WindowColumns`.  ``tests/oracle.py``
+holds the per-record loop the parity tests check it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from repro.core.analysis.queuing import (
 )
 from repro.core.matching.base import MatchResult, TransferClass
 from repro.core.matching.pipeline import MatchingReport
-from repro.rucio.activities import TABLE1_ORDER, TransferActivity
-from repro.telemetry.records import TransferRecord
+from repro.rucio.activities import TABLE1_ORDER
 from repro.units import ratio_pct
 
 
@@ -42,54 +40,13 @@ class ActivityRow:
         return ratio_pct(self.matched, self.total)
 
 
-def activity_breakdown(
-    result: MatchResult,
-    transfers: Sequence[TransferRecord],
-    columns: Optional[WindowColumns] = None,
-) -> List[ActivityRow]:
+def activity_breakdown(result: MatchResult, columns: WindowColumns) -> List[ActivityRow]:
     """Table 1: matched vs total transfers (with jeditaskid) per activity.
 
-    With ``columns`` (the window's pre-lowered packs, parallel to
-    ``transfers``), the tallies are two bincounts over activity codes
-    plus one sorted-membership test against the frame's matched row
-    ids; otherwise a per-record loop runs.
+    ``columns`` holds the window's transfers (or the whole telemetry's):
+    the tallies are two bincounts over activity codes plus one
+    sorted-membership test against the frame's matched row ids.
     """
-    if columns is not None:
-        return _activity_breakdown_columnar(result, columns)
-    matched_ids = result.matched_transfer_ids()
-    totals: Dict[str, int] = {}
-    matched: Dict[str, int] = {}
-    for t in transfers:
-        if not t.has_jeditaskid:
-            continue
-        totals[t.activity] = totals.get(t.activity, 0) + 1
-        if t.row_id in matched_ids:
-            matched[t.activity] = matched.get(t.activity, 0) + 1
-    rows = [
-        ActivityRow(activity=a.value, matched=matched.get(a.value, 0), total=totals.get(a.value, 0))
-        for a in TABLE1_ORDER
-    ]
-    # §5.1: "nearly all transfers that have jeditaskid fall to the
-    # following activities" — aggregate the small residue (e.g. tape
-    # staging done under a task-scoped rule) so Total covers everything.
-    named = {a.value for a in TABLE1_ORDER}
-    other_total = sum(n for act, n in totals.items() if act not in named)
-    other_matched = sum(n for act, n in matched.items() if act not in named)
-    if other_total:
-        rows.append(ActivityRow(activity="Other", matched=other_matched, total=other_total))
-    rows.append(
-        ActivityRow(
-            activity="Total",
-            matched=sum(r.matched for r in rows),
-            total=sum(r.total for r in rows),
-        )
-    )
-    return rows
-
-
-def _activity_breakdown_columnar(
-    result: MatchResult, columns: WindowColumns
-) -> List[ActivityRow]:
     tp, it = columns.transfers, columns.interner
     with_task = tp.jeditaskid > 0
     acts = tp.activity[with_task]
@@ -114,6 +71,9 @@ def _activity_breakdown_columnar(
                 total=int(totals[code]) if code >= 0 else 0,
             )
         )
+    # §5.1: "nearly all transfers that have jeditaskid fall to the
+    # following activities" — aggregate the small residue (e.g. tape
+    # staging done under a task-scoped rule) so Total covers everything.
     other_total = int(totals.sum()) - sum(int(totals[c]) for c in named_codes)
     other_matched = int(matched.sum()) - sum(int(matched[c]) for c in named_codes)
     if other_total:

@@ -5,20 +5,21 @@ temporal imbalance".  The spatial half is the Fig 3 matrix
 (:mod:`repro.core.analysis.matrix`); this module quantifies the
 temporal half: per-interval transfer volume series, peak-to-trough
 ratios, busiest-hour concentration, and a temporal Gini coefficient —
-plus the same measures for job submissions.
+plus the same measures for job submissions.  Both profiles bucket the
+time columns of :class:`~repro.columnar.packs.WindowColumns`;
+``tests/oracle.py`` holds the per-record loops the parity tests check
+them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.columnar.kernels import bucket_accumulate
 from repro.columnar.packs import WindowColumns
 from repro.core.anomaly.imbalance import gini_coefficient
-from repro.telemetry.records import JobRecord, TransferRecord
 
 
 @dataclass
@@ -76,54 +77,30 @@ class TemporalProfile:
 
 
 def transfer_volume_profile(
-    transfers: Sequence[TransferRecord],
-    t0: float,
-    t1: float,
-    bucket_seconds: float = 3600.0,
-    columns: Optional[WindowColumns] = None,
+    columns: WindowColumns, t0: float, t1: float, bucket_seconds: float = 3600.0
 ) -> TemporalProfile:
     """Bytes whose transfer *started* in each bucket.
 
-    With ``columns`` (packs parallel to ``transfers``), the bucket
-    assignment and byte accumulation run as one vectorized pass
-    (``bucket_accumulate``: same floor-divide, same input-order float
-    additions as the loop).
+    One vectorized pass (``bucket_accumulate``): floor-divide each start
+    time into its bucket and add the bytes in input order.
     """
     if t1 <= t0:
         raise ValueError("empty window")
     n = int(np.ceil((t1 - t0) / bucket_seconds))
-    if columns is not None:
-        tp = columns.transfers
-        volume = bucket_accumulate(tp.starttime, tp.size, t0, bucket_seconds, n)
-        return TemporalProfile(t0=t0, bucket_seconds=bucket_seconds, volume=volume)
-    volume = np.zeros(n)
-    for t in transfers:
-        k = int((t.starttime - t0) // bucket_seconds)
-        if 0 <= k < n:
-            volume[k] += t.file_size
+    tp = columns.transfers
+    volume = bucket_accumulate(tp.starttime, tp.size, t0, bucket_seconds, n)
     return TemporalProfile(t0=t0, bucket_seconds=bucket_seconds, volume=volume)
 
 
 def submission_profile(
-    jobs: Sequence[JobRecord],
-    t0: float,
-    t1: float,
-    bucket_seconds: float = 3600.0,
-    columns: Optional[WindowColumns] = None,
+    columns: WindowColumns, t0: float, t1: float, bucket_seconds: float = 3600.0
 ) -> TemporalProfile:
     """Job submissions per bucket."""
     if t1 <= t0:
         raise ValueError("empty window")
     n = int(np.ceil((t1 - t0) / bucket_seconds))
-    if columns is not None:
-        jp = columns.jobs
-        counts = bucket_accumulate(
-            jp.creation, np.ones(len(jp), dtype=np.float64), t0, bucket_seconds, n
-        )
-        return TemporalProfile(t0=t0, bucket_seconds=bucket_seconds, volume=counts)
-    counts = np.zeros(n)
-    for j in jobs:
-        k = int((j.creationtime - t0) // bucket_seconds)
-        if 0 <= k < n:
-            counts[k] += 1
+    jp = columns.jobs
+    counts = bucket_accumulate(
+        jp.creation, np.ones(len(jp), dtype=np.float64), t0, bucket_seconds, n
+    )
     return TemporalProfile(t0=t0, bucket_seconds=bucket_seconds, volume=counts)

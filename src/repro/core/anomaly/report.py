@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.analysis.matrix import TransferMatrix, build_transfer_matrix
+from repro.core.analysis.matrix import TransferMatrix
 from repro.core.anomaly.imbalance import ImbalanceStats, assess_imbalance
 from repro.core.anomaly.inference import SiteInference, infer_unknown_sites
 from repro.core.anomaly.redundant import RedundantGroup, find_redundant_transfers, total_wasted_bytes
@@ -65,12 +65,12 @@ class AnomalyReport:
 def build_anomaly_report(
     matches: Sequence[JobMatch],
     transfers: Sequence[TransferRecord],
-    site_names: Optional[Sequence[str]] = None,
     matrix: Optional[TransferMatrix] = None,
 ) -> AnomalyReport:
-    """Run every detector over one window's matches and records."""
-    if matrix is None and site_names is not None:
-        matrix = build_transfer_matrix(transfers, site_names)
+    """Run every detector over one window's matches and records.
+
+    Imbalance statistics are computed only when ``matrix`` is given.
+    """
     return AnomalyReport(
         redundant=find_redundant_transfers(transfers),
         staging=find_staging_anomalies(matches),

@@ -95,22 +95,19 @@ def _dispatch(spec: AnalysisSpec, report, artifacts: WindowArtifacts, plan: Wind
     if name == "thresholds":
         return threshold_sweep_result(result, **kw)
     if name == "table1":
-        return activity_breakdown(result, artifacts.transfers, columns=columns)
+        return activity_breakdown(result, columns)
     if name == "table2_transfers":
         return method_comparison_transfers(report)
     if name == "table2_jobs":
         return method_comparison_jobs(report)
     if name == "matrix":
-        site_names = kw.pop("site_names")
-        return build_transfer_matrix(artifacts.transfers, list(site_names), columns=columns)
+        return build_transfer_matrix(columns, kw["site_names"])
     if name == "sites":
-        return build_dashboards(artifacts.jobs, artifacts.transfers, columns=columns)
+        return build_dashboards(columns)
     if name == "volume":
-        return transfer_volume_profile(
-            artifacts.transfers, plan.t0, plan.t1, columns=columns, **kw
-        )
+        return transfer_volume_profile(columns, plan.t0, plan.t1, **kw)
     if name == "submissions":
-        return submission_profile(artifacts.jobs, plan.t0, plan.t1, columns=columns, **kw)
+        return submission_profile(columns, plan.t0, plan.t1, **kw)
     raise ValueError(f"unknown analysis {name!r} (known: {', '.join(ANALYSIS_NAMES)})")
 
 

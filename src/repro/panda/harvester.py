@@ -31,7 +31,6 @@ from repro.rucio.activities import TransferActivity
 from repro.rucio.client import RucioClient
 from repro.rucio.transfer import TransferEvent
 from repro.sim.engine import Engine
-from repro.sim.tracing import TraceLog
 
 
 def interval_union_length(intervals: List[tuple[float, float]], lo: float, hi: float) -> float:
@@ -73,7 +72,6 @@ class Harvester:
         failure_model: FailureModel,
         rng: np.random.Generator,
         on_job_done: Callable[[Job], None],
-        trace: Optional[TraceLog] = None,
         stagein_patience_mean: float = 1800.0,
         walltime_jitter_sigma: float = 0.25,
         redundant_prefetch_prob: float = 0.04,
@@ -84,7 +82,6 @@ class Harvester:
         self.failure_model = failure_model
         self.rng = rng
         self.on_job_done = on_job_done
-        self.trace = trace or TraceLog(enabled=False)
         self.stagein_patience_mean = float(stagein_patience_mean)
         self.walltime_jitter_sigma = float(walltime_jitter_sigma)
         self.redundant_prefetch_prob = float(redundant_prefetch_prob)
@@ -202,7 +199,6 @@ class Harvester:
         job.error_message = error.message
         job.stagein_busy_seconds = self._stagein_busy(job, now)
         job.transition(JobStatus.FAILED)
-        self.trace.emit(now, "job.failed_stagein", str(job.pandaid), site=self.site.name)
         self.on_job_done(job)
 
     # -- re-brokerage (control-loop hooks) --------------------------------------
@@ -285,7 +281,6 @@ class Harvester:
         job.start_time = now
         job.stagein_busy_seconds = self._stagein_busy(job, now)
         job.transition(JobStatus.RUNNING)
-        self.trace.emit(now, "job.start", str(job.pandaid), site=self.site.name)
 
         if job.access_mode is DataAccessMode.DIRECT_IO and job.input_dataset is not None:
             # Streaming reads begin with execution and overlap it.
@@ -389,7 +384,5 @@ class Harvester:
         job.transition(JobStatus.FINISHED if error.code is ErrorCode.NONE else JobStatus.FAILED)
         self.site.release()
         self._stagein_events.pop(job.pandaid, None)
-        self.trace.emit(now, "job.done", str(job.pandaid),
-                        site=self.site.name, status=job.status.value)
         self.on_job_done(job)
         self._try_start()

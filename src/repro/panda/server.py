@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ids import IdFactory
 from repro.sim.engine import Engine
-from repro.sim.tracing import TraceLog
 
 
 class PandaServer:
@@ -40,7 +39,6 @@ class PandaServer:
         broker: Broker,
         rng: np.random.Generator,
         failure_model: Optional[FailureModel] = None,
-        trace: Optional[TraceLog] = None,
         brokerage_latency_mean: float = 60.0,
         retry_limit: int = 0,
         retry_backoff_mean: float = 900.0,
@@ -52,7 +50,6 @@ class PandaServer:
         self.broker = broker
         self.rng = rng
         self.failure_model = failure_model or FailureModel()
-        self.trace = trace or TraceLog(enabled=False)
         self.brokerage_latency_mean = float(brokerage_latency_mean)
         #: automatic re-attempts for failed analysis jobs (JEDI-style;
         #: 0 = disabled).  A retry is a brand-new pandaid sharing the
@@ -79,7 +76,6 @@ class PandaServer:
                 failure_model=self.failure_model,
                 rng=rng,
                 on_job_done=self._job_done,
-                trace=self.trace,
             )
             for site in topology.compute_sites()
         }
@@ -115,8 +111,6 @@ class PandaServer:
         decision = self.broker.assign(job, self.engine.now)
         job.computing_site = decision.site_name
         self.decisions[job.pandaid] = decision
-        self.trace.emit(self.engine.now, "job.brokered", str(job.pandaid),
-                        site=decision.site_name, reason=decision.reason)
         self.harvesters[decision.site_name].receive(job)
 
     def rebroker(self, job: Job, decision: BrokerDecision) -> None:
@@ -131,8 +125,6 @@ class PandaServer:
         prior = old.release_stagein_events(job.pandaid) if old is not None else []
         job.computing_site = decision.site_name
         self.decisions[job.pandaid] = decision
-        self.trace.emit(self.engine.now, "job.rebrokered", str(job.pandaid),
-                        site=decision.site_name, reason=decision.reason)
         self.harvesters[decision.site_name].adopt_rebrokered(job, prior)
 
     def _job_done(self, job: Job) -> None:

@@ -30,7 +30,6 @@ from repro.rucio.replica import ReplicaRegistry, ReplicaState
 from repro.rucio.selector import ReplicaSelector
 from repro.rucio.transfer import TransferEvent, TransferRequest
 from repro.sim.engine import Engine
-from repro.sim.tracing import TraceLog
 
 
 @dataclass
@@ -77,7 +76,6 @@ class TransferService:
         ids: IdFactory,
         sink: Callable[[TransferEvent], None],
         rng: np.random.Generator,
-        trace: Optional[TraceLog] = None,
         link_capacity: int = 12,
         failure_rate: float = 0.015,
         stuck_rate: float = 0.012,
@@ -89,7 +87,6 @@ class TransferService:
         self.ids = ids
         self.sink = sink
         self.rng = rng
-        self.trace = trace or TraceLog(enabled=False)
         self.link_capacity = int(link_capacity)
         self.failure_rate = float(failure_rate)
         #: probability a transfer gets *stuck* — crawling at a fraction
@@ -173,8 +170,6 @@ class TransferService:
         )
         if at_capacity or background_capped:
             self._link_waiting.setdefault((src_site, dest_site), deque()).append((req, group))
-            self.trace.emit(self.engine.now, "transfer.queued", str(req.file_did),
-                            src=src_site, dst=dest_site)
             return
         self._start(req, group, src_site, dest_site)
 
@@ -195,8 +190,6 @@ class TransferService:
         if fails:
             # Failures surface partway through the attempted movement.
             duration *= float(self.rng.uniform(0.3, 1.5))
-        self.trace.emit(started, "transfer.start", str(req.file_did),
-                        src=src_site, dst=dest_site, size=req.size, eta=duration)
 
         def complete() -> None:
             network.release(src_site, dest_site)

@@ -27,7 +27,6 @@ from repro.rucio.replica import ReplicaRegistry
 from repro.rucio.rules import RuleEngine
 from repro.rucio.tape import TapeSystem
 from repro.sim.engine import Engine
-from repro.sim.tracing import TraceLog
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.degradation import DegradationConfig, DegradedTelemetry, MetadataDegrader
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -45,7 +44,6 @@ class HarnessConfig:
     drain: float = 86400.0
     link_capacity: int = 12
     transfer_failure_rate: float = 0.015
-    enable_trace: bool = False
     #: model tape recalls for tape-resident production inputs
     enable_tape: bool = True
     #: run periodic unprotected-replica deletion sweeps
@@ -64,7 +62,6 @@ class SimulationHarness:
         self.config = config
         self.rngs = RngRegistry(config.seed)
         self.engine = Engine()
-        self.trace = TraceLog(enabled=config.enable_trace)
         self.topology = topology or build_wlcg(config.grid, seed=config.seed)
         self.ids = IdFactory()
         self.catalog = DidCatalog()
@@ -84,7 +81,6 @@ class SimulationHarness:
             self.ids,
             self.collector.on_transfer,
             self.rngs.get("fts"),
-            trace=self.trace,
             link_capacity=config.link_capacity,
             failure_rate=config.transfer_failure_rate,
         )
@@ -122,7 +118,6 @@ class SimulationHarness:
             self.broker,
             self.rngs.get("panda"),
             failure_model=FailureModel(),
-            trace=self.trace,
             retry_limit=config.retry_limit,
             ids=self.ids,
         )

@@ -5,7 +5,8 @@ The paper's Fig 3 aggregates 92 days of site-to-site transfer volume
 and a 42.4 PB CERN→UNKNOWN cell).  We run a campaign over a
 (configurable, default shorter) window and build the same matrix from
 *degraded* records — the UNKNOWN row/column appears exactly the way it
-does in production, via mislabelled endpoints.
+does in production, via mislabelled endpoints.  The matrix reads the
+study's :class:`~repro.metastore.packsource.PackSource` columns.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.metastore.packsource import PackSource
 from repro.scenarios.runtime import HarnessConfig, SimulationHarness
 from repro.telemetry.degradation import DegradationConfig, DegradedTelemetry
 from repro.workload.generator import WorkloadConfig
@@ -47,6 +49,7 @@ class ThreeMonthStudy:
     def __init__(self, config: Optional[ThreeMonthConfig] = None) -> None:
         self.config = config or ThreeMonthConfig()
         self.harness = SimulationHarness(self.config.harness_config())
+        self._source: Optional[PackSource] = None
 
     def run(self) -> "ThreeMonthStudy":
         self.harness.run()
@@ -55,6 +58,14 @@ class ThreeMonthStudy:
     @property
     def telemetry(self) -> DegradedTelemetry:
         return self.harness.telemetry()
+
+    @property
+    def source(self) -> PackSource:
+        """The degraded telemetry in the metastore, lowered once."""
+        if self._source is None:
+            tele = self.telemetry
+            self._source = PackSource.from_records(tele.jobs, tele.files, tele.transfers)
+        return self._source
 
     def site_names(self) -> list[str]:
         return self.harness.topology.site_names()

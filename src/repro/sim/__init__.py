@@ -1,20 +1,17 @@
 """Discrete-event simulation substrate.
 
 A minimal but complete discrete-event kernel: a monotone simulation
-clock, a binary-heap event queue with stable tie-breaking, callback and
-coroutine-style processes, and an execution trace.  PanDA, Rucio, and
-the workload generator are all built as processes over this kernel.
+clock, a binary-heap event queue with stable tie-breaking, and callback
+and coroutine-style processes.  PanDA, Rucio, and the workload
+generator are all built as processes over this kernel.
 """
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, Event, StopSimulation
-from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
     "SimClock",
     "Engine",
     "Event",
     "StopSimulation",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+from repro.columnar.packs import WindowColumns
 from repro.grid.presets import build_mini
 from repro.grid.topology import GridTopology
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
@@ -110,6 +111,13 @@ def matching_triple(n_files: int = 3, site: str = "SITE-A"):
         for i in range(n_files)
     ]
     return job, files, transfers
+
+
+def columns_of(
+    jobs: Sequence[JobRecord] = (), transfers: Sequence[TransferRecord] = ()
+) -> WindowColumns:
+    """Hand-built records lowered into the packs the analyses read."""
+    return WindowColumns.lower(jobs, [], transfers)
 
 
 def mini_topology(seed: int = 3) -> GridTopology:

@@ -22,10 +22,10 @@ popularity pick that decays one entry per ``score()`` call.  Each has
 the signature of the production method it specifies, so the
 whole-world test in ``test_sim_hot_path`` can patch them in.
 
-Four record-level analyses keep their loops in production for callers
-that hold records but no packs (Table 1, site dashboards, the transfer
-matrix, the temporal profiles); :func:`analyze` calls those with
-``columns=None``.
+The five record-level analyses (Table 1, the site dashboards, the
+transfer matrix and the two temporal profiles) run over
+:class:`~repro.columnar.packs.WindowColumns` in production; their
+per-record loops live here, and :func:`analyze` calls them.
 """
 
 from __future__ import annotations
@@ -36,21 +36,22 @@ import numpy as np
 
 from repro.columnar.interner import StringInterner
 from repro.columnar.packs import WindowColumns
-from repro.core.analysis.matrix import build_transfer_matrix
+from repro.core.analysis.errors import error_mix
+from repro.core.analysis.matrix import TransferMatrix
 from repro.core.analysis.queuing import (
     JobTransferTiming,
     compute_timing,
     geomean_transfer_pct,
     mean_transfer_pct,
 )
-from repro.core.analysis.sites import build_dashboards
+from repro.core.analysis.sites import SiteDashboard
 from repro.core.analysis.summary import (
+    ActivityRow,
     HeadlineStats,
     MethodJobRow,
     MethodTransferRow,
-    activity_breakdown,
 )
-from repro.core.analysis.temporal import submission_profile, transfer_volume_profile
+from repro.core.analysis.temporal import TemporalProfile
 from repro.core.analysis.thresholds import DEFAULT_THRESHOLDS, StatusCombo, ThresholdSweep
 from repro.core.matching.base import (
     BaseMatcher,
@@ -62,9 +63,10 @@ from repro.core.matching.base import (
 from repro.exec.analysis import DEFAULT_ANALYSES, AnalysisSpec
 from repro.exec.plan import WindowPlan
 from repro.grid.network import CONGESTION_BUCKET_SECONDS, LinkProfile, _stable_u32
+from repro.rucio.activities import TABLE1_ORDER
 from repro.rucio.did import DID
 from repro.rucio.selector import SourceChoice
-from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
+from repro.telemetry.records import UNKNOWN_SITE, FileRecord, JobRecord, TransferRecord
 from repro.window import in_window
 
 # -- the store ----------------------------------------------------------------
@@ -327,6 +329,143 @@ def method_comparison_jobs(report: MatchingReport) -> List[MethodJobRow]:
             )
         )
     return rows
+
+
+def activity_breakdown(
+    result: MatchResult, transfers: Sequence[TransferRecord]
+) -> List[ActivityRow]:
+    """Table 1: matched vs total transfers (with jeditaskid) per activity."""
+    matched_ids = result.matched_transfer_ids()
+    totals: Dict[str, int] = {}
+    matched: Dict[str, int] = {}
+    for t in transfers:
+        if not t.has_jeditaskid:
+            continue
+        totals[t.activity] = totals.get(t.activity, 0) + 1
+        if t.row_id in matched_ids:
+            matched[t.activity] = matched.get(t.activity, 0) + 1
+    rows = [
+        ActivityRow(activity=a.value, matched=matched.get(a.value, 0), total=totals.get(a.value, 0))
+        for a in TABLE1_ORDER
+    ]
+    # §5.1: "nearly all transfers that have jeditaskid fall to the
+    # following activities" — aggregate the small residue (e.g. tape
+    # staging done under a task-scoped rule) so Total covers everything.
+    named = {a.value for a in TABLE1_ORDER}
+    other_total = sum(n for act, n in totals.items() if act not in named)
+    other_matched = sum(n for act, n in matched.items() if act not in named)
+    if other_total:
+        rows.append(ActivityRow(activity="Other", matched=other_matched, total=other_total))
+    rows.append(
+        ActivityRow(
+            activity="Total",
+            matched=sum(r.matched for r in rows),
+            total=sum(r.total for r in rows),
+        )
+    )
+    return rows
+
+
+def build_dashboards(
+    jobs: Sequence[JobRecord], transfers: Sequence[TransferRecord]
+) -> Dict[str, SiteDashboard]:
+    """One pass over both record sets; returns site -> dashboard."""
+    boards: Dict[str, SiteDashboard] = {}
+
+    def board(site: str) -> SiteDashboard:
+        if site not in boards:
+            boards[site] = SiteDashboard(site=site)
+        return boards[site]
+
+    jobs_by_site: Dict[str, List[JobRecord]] = {}
+    for j in jobs:
+        site = j.computingsite or UNKNOWN_SITE
+        b = board(site)
+        b.n_jobs += 1
+        if not j.succeeded:
+            b.n_failed += 1
+        q = j.queuing_time
+        if q is not None:
+            b.queue_times.append(q)
+        jobs_by_site.setdefault(site, []).append(j)
+
+    for site, js in jobs_by_site.items():
+        boards[site].error_mix = error_mix(js)
+
+    for t in transfers:
+        src = t.source_site or UNKNOWN_SITE
+        dst = t.destination_site or UNKNOWN_SITE
+        if src == dst:
+            board(src).bytes_local += t.file_size
+        else:
+            board(src).bytes_out += t.file_size
+            board(dst).bytes_in += t.file_size
+
+    return boards
+
+
+def build_transfer_matrix(
+    transfers: Sequence[TransferRecord], site_names: Sequence[str]
+) -> TransferMatrix:
+    """Accumulate transfer volumes into the site matrix, one dict lookup
+    per endpoint; sites outside ``site_names`` fold into UNKNOWN."""
+    names = list(site_names)
+    index: Dict[str, int] = {n: i for i, n in enumerate(names)}
+    if UNKNOWN_SITE not in index:
+        raise ValueError("site_names must include the UNKNOWN pseudo-site")
+    unk = index[UNKNOWN_SITE]
+    n = len(names)
+    if not transfers:
+        return TransferMatrix(site_names=names, volume=np.zeros((n, n)))
+    src = np.fromiter(
+        (index.get(t.source_site, unk) for t in transfers), dtype=np.int64,
+        count=len(transfers),
+    )
+    dst = np.fromiter(
+        (index.get(t.destination_site, unk) for t in transfers), dtype=np.int64,
+        count=len(transfers),
+    )
+    sizes = np.fromiter(
+        (t.file_size for t in transfers), dtype=np.float64, count=len(transfers),
+    )
+    flat = np.bincount(src * n + dst, weights=sizes, minlength=n * n)
+    return TransferMatrix(site_names=names, volume=flat.reshape(n, n))
+
+
+def transfer_volume_profile(
+    transfers: Sequence[TransferRecord],
+    t0: float,
+    t1: float,
+    bucket_seconds: float = 3600.0,
+) -> TemporalProfile:
+    """Bytes whose transfer *started* in each bucket."""
+    if t1 <= t0:
+        raise ValueError("empty window")
+    n = int(np.ceil((t1 - t0) / bucket_seconds))
+    volume = np.zeros(n)
+    for t in transfers:
+        k = int((t.starttime - t0) // bucket_seconds)
+        if 0 <= k < n:
+            volume[k] += t.file_size
+    return TemporalProfile(t0=t0, bucket_seconds=bucket_seconds, volume=volume)
+
+
+def submission_profile(
+    jobs: Sequence[JobRecord],
+    t0: float,
+    t1: float,
+    bucket_seconds: float = 3600.0,
+) -> TemporalProfile:
+    """Job submissions per bucket."""
+    if t1 <= t0:
+        raise ValueError("empty window")
+    n = int(np.ceil((t1 - t0) / bucket_seconds))
+    counts = np.zeros(n)
+    for j in jobs:
+        k = int((j.creationtime - t0) // bucket_seconds)
+        if 0 <= k < n:
+            counts[k] += 1
+    return TemporalProfile(t0=t0, bucket_seconds=bucket_seconds, volume=counts)
 
 
 def analyze(

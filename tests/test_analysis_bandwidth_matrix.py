@@ -12,7 +12,7 @@ from repro.core.analysis.bandwidth import (
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.telemetry.records import UNKNOWN_SITE
 
-from tests.helpers import make_transfer
+from tests.helpers import columns_of, make_transfer
 
 
 class TestBandwidthSeries:
@@ -112,7 +112,7 @@ class TestTransferMatrix:
             make_transfer(row_id=2, src="A", dst="B", size=200),
             make_transfer(row_id=3, src="A", dst=UNKNOWN_SITE, size=100),
         ]
-        return build_transfer_matrix(ts, names)
+        return build_transfer_matrix(columns_of(transfers=ts), names)
 
     def test_total_and_local(self):
         m = self._matrix()
@@ -123,12 +123,12 @@ class TestTransferMatrix:
     def test_unknown_folding(self):
         names = ["A", UNKNOWN_SITE]
         ts = [make_transfer(src="A", dst="GARBAGE-NAME", size=50)]
-        m = build_transfer_matrix(ts, names)
+        m = build_transfer_matrix(columns_of(transfers=ts), names)
         assert m.unknown_volume() == 50
 
     def test_requires_unknown_site(self):
         with pytest.raises(ValueError):
-            build_transfer_matrix([], ["A", "B"])
+            build_transfer_matrix(columns_of(), ["A", "B"])
 
     def test_means(self):
         m = self._matrix()
@@ -151,9 +151,9 @@ class TestTransferMatrix:
             from repro.core.analysis.matrix import TransferMatrix
             TransferMatrix(site_names=["A"], volume=np.zeros((2, 2)))
 
-    def test_study_matrix_properties(self, small_telemetry, small_study):
+    def test_study_matrix_properties(self, small_study):
         m = build_transfer_matrix(
-            small_telemetry.transfers, small_study.harness.topology.site_names())
+            small_study.source.columns, small_study.harness.topology.site_names())
         assert m.total_volume > 0
         # Fig 3 shape: local transfers dominate by volume
         assert m.local_fraction > 0.5

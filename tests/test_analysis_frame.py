@@ -82,6 +82,22 @@ def assert_frames_equal(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def assert_boards_equal(fast, ref):
+    assert list(fast) == list(ref)  # incl. insertion order
+    for site in ref:
+        f, r = fast[site], ref[site]
+        assert (f.site, f.n_jobs, f.n_failed) == (r.site, r.n_jobs, r.n_failed)
+        assert f.queue_times == r.queue_times
+        assert (f.bytes_in, f.bytes_out, f.bytes_local) == (
+            r.bytes_in, r.bytes_out, r.bytes_local)
+        assert f.error_mix == r.error_mix
+        # insertion order decides ties in dominant_family/top_error_codes
+        assert list(f.error_mix.by_code) == list(r.error_mix.by_code)
+        assert list(f.error_mix.by_family) == list(r.error_mix.by_family)
+        assert f.dominant_error_family == r.dominant_error_family
+        assert top_error_codes(f.error_mix) == top_error_codes(r.error_mix)
+
+
 class TestFrameBuilders:
     @given(degraded_windows())
     @settings(max_examples=30, deadline=None)
@@ -185,8 +201,8 @@ class TestSummaryParity:
         for report in reports.values():
             result = report["exact"]
             assert activity_breakdown(
-                result, artifacts.transfers, columns=artifacts.columns
-            ) == activity_breakdown(result, artifacts.transfers)
+                result, artifacts.columns
+            ) == oracle.activity_breakdown(result, artifacts.transfers)
 
 
 class TestWindowAnalysesParity:
@@ -195,21 +211,8 @@ class TestWindowAnalysesParity:
     @staticmethod
     def _assert_dashboards_equal(window):
         artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
-        fast = build_dashboards(artifacts.jobs, artifacts.transfers, columns=artifacts.columns)
-        ref = build_dashboards(artifacts.jobs, artifacts.transfers)
-        assert list(fast) == list(ref)  # incl. insertion order
-        for site in ref:
-            f, r = fast[site], ref[site]
-            assert (f.site, f.n_jobs, f.n_failed) == (r.site, r.n_jobs, r.n_failed)
-            assert f.queue_times == r.queue_times
-            assert (f.bytes_in, f.bytes_out, f.bytes_local) == (
-                r.bytes_in, r.bytes_out, r.bytes_local)
-            assert f.error_mix == r.error_mix
-            # insertion order decides ties in dominant_family/top_error_codes
-            assert list(f.error_mix.by_code) == list(r.error_mix.by_code)
-            assert list(f.error_mix.by_family) == list(r.error_mix.by_family)
-            assert f.dominant_error_family == r.dominant_error_family
-            assert top_error_codes(f.error_mix) == top_error_codes(r.error_mix)
+        fast = build_dashboards(artifacts.columns)
+        assert_boards_equal(fast, oracle.build_dashboards(artifacts.jobs, artifacts.transfers))
         return fast
 
     @given(degraded_windows())
@@ -253,16 +256,37 @@ class TestWindowAnalysesParity:
     def test_matrix_and_temporal(self, window):
         artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
         names = sorted({*KNOWN, UNKNOWN_SITE})
-        fast = build_transfer_matrix(artifacts.transfers, names, columns=artifacts.columns)
-        ref = build_transfer_matrix(artifacts.transfers, names)
+        fast = build_transfer_matrix(artifacts.columns, names)
+        ref = oracle.build_transfer_matrix(artifacts.transfers, names)
         assert np.array_equal(fast.volume, ref.volume)
-        for fn, records in (
-            (transfer_volume_profile, artifacts.transfers),
-            (submission_profile, artifacts.jobs),
+        for fn, ref_fn, records in (
+            (transfer_volume_profile, oracle.transfer_volume_profile, artifacts.transfers),
+            (submission_profile, oracle.submission_profile, artifacts.jobs),
         ):
-            fast_p = fn(records, PLAN.t0, PLAN.t1, columns=artifacts.columns)
-            ref_p = fn(records, PLAN.t0, PLAN.t1)
+            fast_p = fn(artifacts.columns, PLAN.t0, PLAN.t1)
+            ref_p = ref_fn(records, PLAN.t0, PLAN.t1)
             assert np.array_equal(fast_p.volume, ref_p.volume)
+
+    def test_whole_telemetry(self, small_study, small_report):
+        """The swap the Table 1 and Fig 3 benches make: the study's
+        full-table packs against the record loops over its telemetry."""
+        columns, tele = small_study.source.columns, small_study.telemetry
+        t0, t1 = small_study.harness.window
+        exact = small_report["exact"]
+        assert activity_breakdown(exact, columns) == oracle.activity_breakdown(
+            exact, tele.transfers)
+        assert_boards_equal(
+            build_dashboards(columns), oracle.build_dashboards(tele.jobs, tele.transfers))
+        names = small_study.harness.topology.site_names()
+        assert np.array_equal(
+            build_transfer_matrix(columns, names).volume,
+            oracle.build_transfer_matrix(tele.transfers, names).volume)
+        assert np.array_equal(
+            transfer_volume_profile(columns, t0, t1).volume,
+            oracle.transfer_volume_profile(tele.transfers, t0, t1).volume)
+        assert np.array_equal(
+            submission_profile(columns, t0, t1).volume,
+            oracle.submission_profile(tele.jobs, t0, t1).volume)
 
 
 class TestRunAnalyses:

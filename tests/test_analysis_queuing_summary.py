@@ -108,8 +108,8 @@ class TestAggregates:
 
 
 class TestSummariesOnStudy:
-    def test_table1_total_row(self, small_report, small_telemetry):
-        rows = activity_breakdown(small_report["exact"], small_telemetry.transfers)
+    def test_table1_total_row(self, small_report, small_study):
+        rows = activity_breakdown(small_report["exact"], small_study.source.columns)
         assert rows[-1].activity == "Total"
         assert rows[-1].matched == sum(r.matched for r in rows[:-1])
         assert rows[-1].total == small_report.n_transfers_with_taskid

@@ -23,7 +23,7 @@ from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.matching.base import JobMatch
 from repro.telemetry.records import UNKNOWN_SITE
 
-from tests.helpers import make_job, make_transfer
+from tests.helpers import columns_of, make_job, make_transfer
 
 
 class TestRedundant:
@@ -170,13 +170,13 @@ class TestImbalance:
         ts = [make_transfer(row_id=1, src="A", dst="A", size=10**6)] + [
             make_transfer(row_id=2 + i, src="A", dst="B", size=10) for i in range(5)
         ]
-        m = build_transfer_matrix(ts, ["A", "B", UNKNOWN_SITE])
+        m = build_transfer_matrix(columns_of(transfers=ts), ["A", "B", UNKNOWN_SITE])
         stats = assess_imbalance(m)
         assert stats.top1_share > 0.9
         assert stats.mean_to_geomean > 10
 
     def test_empty_matrix(self):
-        m = build_transfer_matrix([], ["A", UNKNOWN_SITE])
+        m = build_transfer_matrix(columns_of(), ["A", UNKNOWN_SITE])
         stats = assess_imbalance(m)
         assert stats.total_volume == 0 and stats.gini == 0.0
 
@@ -236,11 +236,16 @@ class TestInference:
 
 
 class TestAnomalyReportIntegration:
+    @staticmethod
+    def _study_matrix(study):
+        return build_transfer_matrix(
+            study.source.columns, study.harness.topology.site_names())
+
     def test_full_report_on_study(self, small_report, small_telemetry, small_study):
         report = build_anomaly_report(
             small_report["rm2"].matched_jobs(),
             small_telemetry.transfers,
-            site_names=small_study.harness.topology.site_names(),
+            matrix=self._study_matrix(small_study),
         )
         assert report.imbalance is not None
         assert report.imbalance.total_volume > 0
@@ -252,7 +257,7 @@ class TestAnomalyReportIntegration:
         report = build_anomaly_report(
             small_report["rm2"].matched_jobs(),
             small_telemetry.transfers,
-            site_names=small_study.harness.topology.site_names(),
+            matrix=self._study_matrix(small_study),
         )
         if len(report.inferences) >= 10:
             acc = inference_accuracy(report.inferences, small_telemetry.ground_truth.true_sites)

@@ -8,6 +8,7 @@ from repro.coopt.broker2 import CoOptimizedBroker
 from repro.coopt.policies import TransferDeduplicator, advise
 from repro.coopt.state import link_rows_from_matches, snapshot_from_rows
 from repro.core.matching.base import JobMatch
+from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.anomaly.report import AnomalyReport, build_anomaly_report
 from repro.grid.presets import build_mini
 from repro.panda.job import DataAccessMode, Job, JobKind
@@ -97,11 +98,10 @@ class TestAdvise:
         assert advise(AnomalyReport()) == []
 
     def test_advice_on_study(self, small_report, small_telemetry, small_study):
+        matrix = build_transfer_matrix(
+            small_study.source.columns, small_study.harness.topology.site_names())
         report = build_anomaly_report(
-            small_report["rm2"].matched_jobs(),
-            small_telemetry.transfers,
-            site_names=small_study.harness.topology.site_names(),
-        )
+            small_report["rm2"].matched_jobs(), small_telemetry.transfers, matrix=matrix)
         advice = advise(report)
         assert advice
         # sorted by priority

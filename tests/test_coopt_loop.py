@@ -328,6 +328,31 @@ class TestControlLoop:
         # ... but the observation half still runs
         assert res.final_generation == res.n_epochs + 1
 
+    def test_baseline_rung_is_the_plain_campaign(self):
+        """The baseline rung is the locality-only campaign: the same
+        degraded telemetry as a plain harness on the same config, and
+        no events beyond one per control-loop epoch."""
+        cfg = HarnessConfig(
+            seed=11,
+            workload=WorkloadConfig(
+                duration=0.25 * 86400.0,
+                analysis_tasks_per_hour=8.0,
+                production_tasks_per_hour=1.0,
+                background_transfers_per_hour=60.0,
+            ),
+        )
+        loop = ControlLoop(cfg, "baseline")
+        res = loop.run()
+        plain = SimulationHarness(cfg).run()
+
+        def rows(harness):
+            tele = harness.telemetry()
+            return [repr(r) for part in (tele.jobs, tele.files, tele.transfers) for r in part]
+
+        assert rows(loop.harness) == rows(plain)
+        assert loop.harness.engine.events_executed == (
+            plain.engine.events_executed + res.n_epochs)
+
     def test_obs_records_spans_and_counters(self):
         obs = Obs.collecting()
         cfg = _congested_config()

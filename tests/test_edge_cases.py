@@ -23,7 +23,7 @@ from repro.metastore.packsource import PackSource
 from repro.sim.engine import Engine
 from repro.telemetry.records import UNKNOWN_SITE
 
-from tests.helpers import make_file, make_job, make_transfer
+from tests.helpers import columns_of, make_file, make_job, make_transfer
 
 
 class TestEmptyPopulations:
@@ -36,7 +36,7 @@ class TestEmptyPopulations:
     def test_empty_activity_breakdown(self):
         res = MatchResult(method="exact", matches=[], n_jobs_considered=0,
                           n_transfers_considered=0)
-        rows = activity_breakdown(res, [])
+        rows = activity_breakdown(res, columns_of())
         assert rows[-1].activity == "Total"
         assert rows[-1].total == 0
         assert rows[-1].pct == 0.0
@@ -60,7 +60,7 @@ class TestEmptyPopulations:
         assert s.fluctuation == 0.0
 
     def test_empty_matrix(self):
-        m = build_transfer_matrix([], ["A", UNKNOWN_SITE])
+        m = build_transfer_matrix(columns_of(), ["A", UNKNOWN_SITE])
         assert m.total_volume == 0.0
         assert m.local_fraction == 0.0
         assert m.mean_pair_volume() == 0.0

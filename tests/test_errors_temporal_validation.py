@@ -19,7 +19,7 @@ from repro.core.analysis.temporal import (
 from repro.panda.errors import ErrorCode
 from repro.telemetry.validation import assess_quality
 
-from tests.helpers import make_job, make_transfer
+from tests.helpers import columns_of, make_job, make_transfer
 
 
 def failed_job(code: int, site="S", pandaid=1):
@@ -95,44 +95,44 @@ class TestTemporalProfiles:
             make_transfer(row_id=1, size=100, start=10.0),
             make_transfer(row_id=2, size=200, start=3610.0, end=3700.0),
         ]
-        prof = transfer_volume_profile(ts, 0.0, 7200.0, 3600.0)
+        prof = transfer_volume_profile(columns_of(transfers=ts), 0.0, 7200.0, 3600.0)
         assert list(prof.volume) == [100.0, 200.0]
         assert prof.total == 300.0
 
     def test_out_of_window_ignored(self):
         ts = [make_transfer(start=99999.0, end=99999.5)]
-        prof = transfer_volume_profile(ts, 0.0, 3600.0)
+        prof = transfer_volume_profile(columns_of(transfers=ts), 0.0, 3600.0)
         assert prof.total == 0.0
 
     def test_imbalance_measures(self):
         ts = [make_transfer(row_id=i, size=10, start=float(i)) for i in range(10)]
         ts.append(make_transfer(row_id=99, size=10000, start=5000.0, end=5100.0))
-        prof = transfer_volume_profile(ts, 0.0, 7200.0, 3600.0)
+        prof = transfer_volume_profile(columns_of(transfers=ts), 0.0, 7200.0, 3600.0)
         assert prof.peak_to_mean() > 1.0
         assert prof.temporal_gini() > 0.4
         assert prof.busiest_share(0.5) > 0.9
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            transfer_volume_profile([], 5.0, 5.0)
+            transfer_volume_profile(columns_of(), 5.0, 5.0)
 
     def test_submission_profile(self):
         jobs = [make_job(pandaid=i, creation=float(i * 1800)) for i in range(4)]
-        prof = submission_profile(jobs, 0.0, 7200.0, 3600.0)
+        prof = submission_profile(columns_of(jobs), 0.0, 7200.0, 3600.0)
         assert list(prof.volume) == [2.0, 2.0]
 
     def test_hour_of_day_profile_shape(self):
         ts = [make_transfer(row_id=i, size=100, start=i * 3600.0 + 10,
                             end=i * 3600.0 + 20) for i in range(48)]
-        prof = transfer_volume_profile(ts, 0.0, 48 * 3600.0, 3600.0)
+        prof = transfer_volume_profile(columns_of(transfers=ts), 0.0, 48 * 3600.0, 3600.0)
         hod = prof.hour_of_day_profile()
         assert hod.shape == (24,)
         assert np.all(hod >= 0)
 
-    def test_study_is_temporally_imbalanced(self, small_telemetry, small_study):
+    def test_study_is_temporally_imbalanced(self, small_study):
         """§3.2: significant temporal imbalance."""
         t0, t1 = small_study.harness.window
-        prof = transfer_volume_profile(small_telemetry.transfers, t0, t1)
+        prof = transfer_volume_profile(small_study.source.columns, t0, t1)
         assert prof.temporal_gini() > 0.2
         assert prof.peak_to_trough() > 2.0
 

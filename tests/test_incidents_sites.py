@@ -12,7 +12,7 @@ from repro.grid.incidents import Incident, IncidentInjector
 from repro.grid.presets import build_mini
 from repro.sim.engine import Engine
 
-from tests.helpers import make_job, make_transfer
+from tests.helpers import columns_of, make_job, make_transfer
 
 
 class TestIncidentValidation:
@@ -117,7 +117,7 @@ class TestSiteDashboards:
 
     def test_job_aggregation(self):
         jobs, transfers = self._records()
-        boards = build_dashboards(jobs, transfers)
+        boards = build_dashboards(columns_of(jobs, transfers))
         a = boards["A"]
         assert a.n_jobs == 2 and a.n_failed == 1
         assert a.failure_rate == 0.5
@@ -125,7 +125,7 @@ class TestSiteDashboards:
 
     def test_traffic_aggregation(self):
         jobs, transfers = self._records()
-        boards = build_dashboards(jobs, transfers)
+        boards = build_dashboards(columns_of(jobs, transfers))
         a, b = boards["A"], boards["B"]
         assert a.bytes_local == 100
         assert a.bytes_out == 200 and a.bytes_in == 50
@@ -134,28 +134,28 @@ class TestSiteDashboards:
 
     def test_error_family(self):
         jobs, transfers = self._records()
-        boards = build_dashboards(jobs, transfers)
+        boards = build_dashboards(columns_of(jobs, transfers))
         assert boards["A"].dominant_error_family is ErrorFamily.COMPUTE
 
     def test_hottest_sites_ranking(self):
         jobs = [make_job(pandaid=i, site="HOT", status="failed") for i in range(12)]
         jobs += [make_job(pandaid=100 + i, site="COOL") for i in range(12)]
-        boards = build_dashboards(jobs, [])
+        boards = build_dashboards(columns_of(jobs))
         hottest = hottest_sites(boards, by="failure_rate", top=1)
         assert hottest[0].site == "HOT"
 
     def test_importers_exporters(self):
         jobs, transfers = self._records()
-        boards = build_dashboards(jobs, transfers)
+        boards = build_dashboards(columns_of(jobs, transfers))
         importers, exporters = importers_and_exporters(boards)
         assert importers[0].site == "B"
         assert exporters[0].site == "A"
 
-    def test_on_study(self, small_telemetry):
-        boards = build_dashboards(small_telemetry.jobs, small_telemetry.transfers)
+    def test_on_study(self, small_study):
+        boards = build_dashboards(small_study.source.columns)
         assert len(boards) > 10
         total_jobs = sum(b.n_jobs for b in boards.values())
-        assert total_jobs == len(small_telemetry.jobs)
+        assert total_jobs == len(small_study.telemetry.jobs)
 
 
 class TestIncidentCampaign:

@@ -78,10 +78,10 @@ class TestPaperShapes:
         pct_jobs = small_report["exact"].n_matched_jobs / small_report.n_jobs
         assert pct_jobs < 0.15
 
-    def test_activity_ordering(self, small_report, small_telemetry):
+    def test_activity_ordering(self, small_report, small_study):
         """Table 1: Upload >> Download > Direct IO > Production = 0."""
         rows = {r.activity: r for r in activity_breakdown(
-            small_report["exact"], small_telemetry.transfers)}
+            small_report["exact"], small_study.source.columns)}
         assert rows["Production Upload"].matched == 0
         assert rows["Production Download"].matched == 0
         au = rows["Analysis Upload"]

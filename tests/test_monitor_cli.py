@@ -113,7 +113,7 @@ class TestMonitorHealth:
 class TestCli:
     def test_parser_commands(self):
         parser = build_parser()
-        for cmd in ("simulate", "match", "anomalies", "growth", "ablation", "export"):
+        for cmd in ("simulate", "match", "anomalies", "growth", "export"):
             args = parser.parse_args([cmd] if cmd == "growth" else [cmd, "--days", "1"])
             assert callable(args.fn)
 
@@ -130,6 +130,15 @@ class TestCli:
         assert main(["simulate", "--days", "0.1", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "jobs completed" in out
+
+    @pytest.mark.parametrize("cmd,expected", [
+        ("match", "Analysis Upload"),
+        ("analyze", "transfer volume"),
+        ("anomalies", "imbalance"),
+    ])
+    def test_analysis_commands_tiny(self, cmd, expected, capsys):
+        assert main([cmd, "--days", "0.1", "--seed", "1"]) == 0
+        assert expected in capsys.readouterr().out
 
     def test_export_tiny(self, tmp_path, capsys):
         assert main(["export", "--days", "0.1", "--seed", "1",

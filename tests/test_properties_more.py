@@ -13,7 +13,7 @@ from repro.core.matching.subset import SubsetMatcher
 from repro.rucio.did import DID
 from repro.rucio.popularity import PopularityTracker
 
-from tests.helpers import make_file, make_job, make_transfer
+from tests.helpers import columns_of, make_file, make_job, make_transfer
 
 
 # -- subset matcher ---------------------------------------------------------------
@@ -121,7 +121,8 @@ def test_bandwidth_series_conserves_bytes(transfers):
 @given(random_transfers())
 @settings(max_examples=60, deadline=None)
 def test_temporal_profile_conserves_started_bytes(transfers):
-    prof = transfer_volume_profile(transfers, 0.0, 1100.0, bucket_seconds=100.0)
+    prof = transfer_volume_profile(
+        columns_of(transfers=transfers), 0.0, 1100.0, bucket_seconds=100.0)
     total = sum(t.file_size for t in transfers)
     assert prof.total == pytest.approx(total)
 
@@ -129,6 +130,7 @@ def test_temporal_profile_conserves_started_bytes(transfers):
 @given(random_transfers(), st.floats(min_value=10, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_temporal_gini_bucket_invariance_bounds(transfers, bucket):
-    prof = transfer_volume_profile(transfers, 0.0, 1100.0, bucket_seconds=bucket)
+    prof = transfer_volume_profile(
+        columns_of(transfers=transfers), 0.0, 1100.0, bucket_seconds=bucket)
     g = prof.temporal_gini()
     assert -1e-9 <= g <= 1.0

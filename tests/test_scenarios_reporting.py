@@ -1,4 +1,4 @@
-"""Tests for scenarios (runtime, growth, ablation) and reporting."""
+"""Tests for scenarios (runtime, growth) and reporting."""
 
 import json
 from pathlib import Path
@@ -113,8 +113,8 @@ class TestRenderTables:
         assert len(lines) == 4
         assert "name" in lines[0] and "-" in lines[1]
 
-    def test_activity_table(self, small_report, small_telemetry):
-        rows = activity_breakdown(small_report["exact"], small_telemetry.transfers)
+    def test_activity_table(self, small_report, small_study):
+        rows = activity_breakdown(small_report["exact"], small_study.source.columns)
         out = render_activity_table(rows)
         assert "Analysis Download" in out and "Total" in out
 
@@ -177,8 +177,8 @@ class TestExport:
         text = p.read_text()
         assert text.startswith("a,b")
 
-    def test_csv_dataclasses(self, tmp_path, small_report, small_telemetry):
-        rows = activity_breakdown(small_report["exact"], small_telemetry.transfers)
+    def test_csv_dataclasses(self, tmp_path, small_report, small_study):
+        rows = activity_breakdown(small_report["exact"], small_study.source.columns)
         p = tmp_path / "t1.csv"
         assert rows_to_csv(p, rows) == len(rows)
 

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event kernel (clock, engine, tracing)."""
+"""Tests for the discrete-event kernel (clock, engine)."""
 
 import datetime
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, StopSimulation
-from repro.sim.tracing import TraceLog
 
 
 class TestClock:
@@ -161,38 +160,3 @@ class TestEngineRun:
         e.run()
         assert e.events_executed == 4
 
-
-class TestTraceLog:
-    def test_emit_and_filter(self):
-        t = TraceLog()
-        t.emit(1.0, "a.kind", "x")
-        t.emit(2.0, "b.kind", "y", extra=1)
-        assert len(t) == 2
-        assert len(t.by_kind("a.kind")) == 1
-        assert t.by_subject("y")[0].detail == {"extra": 1}
-
-    def test_disabled_is_noop(self):
-        t = TraceLog(enabled=False)
-        t.emit(1.0, "k", "s")
-        assert len(t) == 0
-
-    def test_capacity_drops_oldest(self):
-        t = TraceLog(capacity=10)
-        for i in range(25):
-            t.emit(float(i), "k", str(i))
-        assert len(t) <= 10
-        assert t.dropped > 0
-        # the newest record is retained
-        assert list(t)[-1].subject == "24"
-
-    def test_kinds_histogram(self):
-        t = TraceLog()
-        t.emit(0, "a", "s")
-        t.emit(1, "a", "s")
-        t.emit(2, "b", "s")
-        assert t.kinds() == {"a": 2, "b": 1}
-
-    def test_str_rendering(self):
-        t = TraceLog()
-        t.emit(1.5, "job.start", "42", site="X")
-        assert "job.start" in str(list(t)[0])

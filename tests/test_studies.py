@@ -52,7 +52,7 @@ class TestThreeMonthStudy:
     def test_matrix_has_fig3_structure(self, study):
         from repro.core.analysis.matrix import build_transfer_matrix
 
-        m = build_transfer_matrix(study.telemetry.transfers, study.site_names())
+        m = build_transfer_matrix(study.source.columns, study.site_names())
         assert m.total_volume > 0
         assert 0.0 < m.local_fraction <= 1.0
         assert m.n_sites == 111
