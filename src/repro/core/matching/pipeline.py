@@ -43,12 +43,10 @@ class MatchingPipeline:
     user_jobs_only:
         The paper analyses the user-job population; production jobs can
         be included for ablations.
-    cache:
-        Artifact cache to share with other consumers; a private one is
-        created when omitted.
     executor:
         Default scheduling policy for :meth:`run` / :meth:`sweep`; a
-        :class:`SerialExecutor` over ``cache`` when omitted.
+        :class:`SerialExecutor` over the pipeline's artifact cache when
+        omitted.
     obs:
         Observability bundle (:class:`~repro.obs.Obs`).  When given it
         is installed as the ambient context for the duration of every
@@ -63,7 +61,6 @@ class MatchingPipeline:
         source: PackSource,
         known_sites: Optional[Set[str]] = None,
         user_jobs_only: bool = True,
-        cache: Optional[ArtifactCache] = None,
         executor: Optional[Executor] = None,
         obs: Optional[Obs] = None,
     ) -> None:
@@ -71,7 +68,7 @@ class MatchingPipeline:
         self.known_sites = known_sites or set()
         self.user_jobs_only = user_jobs_only
         self.obs = obs
-        self.cache = cache if cache is not None else ArtifactCache(source)
+        self.cache = ArtifactCache(source)
         self.executor = executor if executor is not None else SerialExecutor(cache=self.cache)
 
     # -- planning / materialization (the common-time-window step of §4.2) --------

@@ -9,6 +9,9 @@ split:
   a plan (jobs, files, transfers, candidate join) once;
   :class:`ArtifactCache` shares it across matchers, sweeps, and
   analyses, keyed by the source's data generation;
+* :mod:`repro.exec.cache` — :class:`GenerationCache`, the one
+  generation-keyed, single-flight LRU behind the artifact cache, the
+  pool workers' report memo and the serving layer's result memo;
 * :mod:`repro.exec.executor` — :class:`SerialExecutor` and
   :class:`ParallelExecutor` turn plans into
   :class:`~repro.core.matching.base.MatchingReport`\\ s with a
@@ -31,6 +34,7 @@ from repro.exec.artifacts import (
     build_report,
     match_artifacts,
 )
+from repro.exec.cache import GenerationCache
 from repro.exec.executor import (
     Executor,
     ParallelExecutor,
@@ -68,6 +72,7 @@ __all__ = [
     "ArtifactCache",
     "DEFAULT_ANALYSES",
     "Executor",
+    "GenerationCache",
     "ParallelExecutor",
     "SerialExecutor",
     "WindowArtifacts",

@@ -13,16 +13,15 @@ The join is :class:`~repro.columnar.engine.ColumnarIndex`, built lazily
 on first use over the window's packs.  A matcher whose predicates its
 kernels cannot lower is rejected with ``TypeError``.
 
-:class:`ArtifactCache` memoizes materializations keyed by
-``(t0, t1, user_jobs_only, source generation)``.  The generation term
+:class:`ArtifactCache` memoizes materializations in the dataplane's one
+:class:`~repro.exec.cache.GenerationCache`, keyed by
+``(source generation, t0, t1, user_jobs_only)``.  The generation term
 makes invalidation automatic: ingesting new telemetry bumps the store's
 generation, so stale artifacts can never be served.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from repro.columnar import ColumnarIndex
 from repro.columnar.packs import WindowColumns
 from repro.core.matching.base import BaseMatcher, MatchingReport, MatchResult
+from repro.exec.cache import GenerationCache
 from repro.exec.plan import WindowPlan
 from repro.obs import get_obs
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
@@ -112,94 +112,27 @@ def build_report(
     )
 
 
-class ArtifactCache:
-    """Memoized materialization over one source, with LRU bounds.
-
-    A cache is bound to its source; ``get`` keys on the plan plus the
-    source's current generation, evicting entries from older
-    generations eagerly (they can never hit again).
-
-    The cache is thread-safe — the serving layer shares one instance
-    across its whole worker pool.  One lock guards the LRU order, the
-    eviction sweeps, and the hit/miss/eviction stats; materialization
-    itself runs *outside* the lock so two threads missing on different
-    windows overlap their metastore work.  Two threads missing on the
-    same key may both materialize, but only one result is kept
-    (first-insert wins) and both callers get that shared object —
-    duplicated work, never divergent state.
-    """
+class ArtifactCache(GenerationCache):
+    """Window materializations over one source, keyed on
+    ``plan.key(source.generation)``.  The serving layer shares one
+    instance across its worker threads."""
 
     def __init__(self, source, max_entries: int = 32) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
+        super().__init__("artifact.cache", max_entries)
         self.source = source
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, WindowArtifacts]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def get(self, plan: WindowPlan) -> WindowArtifacts:
-        obs = get_obs()
-        generation = getattr(self.source, "generation", 0)
-        key = plan.key(generation)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                if obs.enabled:
-                    obs.metrics.counter("artifact.cache", event="hit").inc()
-                self._entries.move_to_end(key)
-                return cached
-            self.misses += 1
-            if obs.enabled:
-                obs.metrics.counter("artifact.cache", event="miss").inc()
-            # Entries from older generations are dead; drop them all.
-            stale = [k for k in self._entries if k[3] != generation]
-            for k in stale:
-                del self._entries[k]
-            self._evicted(obs, len(stale))
+        artifacts, _ = self.get_or_compute(
+            plan.key(self.source.generation), lambda: self._materialize(plan)
+        )
+        return artifacts
 
-        with obs.tracer.span("artifact.materialize", cat="artifact") as sp:
+    def _materialize(self, plan: WindowPlan) -> WindowArtifacts:
+        with get_obs().tracer.span("artifact.materialize", cat="artifact") as sp:
             artifacts = WindowArtifacts.materialize(self.source, plan)
             sp.set("t0", plan.t0)
             sp.set("t1", plan.t1)
             sp.set("n_jobs", len(artifacts.jobs))
             sp.set("n_files", len(artifacts.files))
             sp.set("n_transfers", len(artifacts.transfers))
-
-        with self._lock:
-            racing = self._entries.get(key)
-            if racing is not None:
-                self._entries.move_to_end(key)
-                return racing
-            self._entries[key] = artifacts
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evicted(obs, 1)
         return artifacts
-
-    def _evicted(self, obs, n: int) -> None:
-        if n:
-            self.evictions += n
-            if obs.enabled:
-                obs.metrics.counter("artifact.cache", event="evict").inc(n)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries),
-            }

@@ -1,34 +1,26 @@
-"""Cross-tenant result memoization, generation-keyed and single-flight.
+"""The one generation-keyed, single-flight LRU of the dataplane.
 
-Dashboard traffic is dominated by a small set of hot (window, matcher,
-analysis) queries asked over and over by many tenants.  The service
-memoizes *served results* — one level above the
-:class:`~repro.exec.artifacts.ArtifactCache`, which memoizes window
-materializations — so a repeated query costs a dictionary lookup
-instead of a matching run.
+Window materializations (:class:`~repro.exec.artifacts.ArtifactCache`),
+the process pool's whole-window reports
+(:func:`~repro.exec.executor.worker_report`) and the serving layer's
+answers (``MatchService.memo``) are all :class:`GenerationCache`\\ s:
 
-Two properties carry the correctness story:
+* **Generation keying.**  ``key[0]`` is the store generation, so an
+  ``ingest_batch`` (which bumps it) makes every older entry
+  unreachable, and the first miss of the newer generation evicts them.
+* **Single flight.**  Concurrent callers of one key share one
+  computation: the first computes, the rest wait on its future and
+  reuse the result object.  A failure reaches every waiter and is
+  never cached, so the next caller retries.
+* **LRU bound.**  At most ``max_entries`` keys; a new flight never
+  evicts itself.
 
-* **Generation keying.**  Every key starts with the source generation.
-  A flight starts and computes under the service's read lock, so an
-  entry keyed by generation g holds a result computed entirely at g;
-  an ``ingest_batch`` bumps the generation, so stale entries can never
-  be *looked up* again, and they are evicted eagerly on the first miss
-  of a newer generation (same rule as the artifact cache).
-* **Single flight.**  Concurrent identical queries — the common case
-  when eight tenants watch one dashboard — share one computation: the
-  first caller computes while the rest wait on its future and then
-  reuse the result object.  Failures are never cached; the leader's
-  exception propagates to every waiter and the key is released for
-  retry.
-
-Two entry points share the entries.  :meth:`ResultMemo.lookup` is the
-service's front door: it returns the entry's future, finished or in
-flight, and never starts a computation, so the event loop can answer a
-hit or await a flight without taking a worker.
-:meth:`ResultMemo.get_or_compute` is the worker's: it leads a new
-flight on a miss, or blocks on an existing one (a request that missed
-at the front door and found its key computed while it queued).
+Flights nest in one order only — an analysis, then its match report,
+then the window's artifacts — and materializing a window calls no
+cache, so a joiner never waits on its own flight.
+:meth:`GenerationCache.lookup` returns an entry's future without ever
+starting a flight, which lets the serving event loop answer a hit or
+await a flight without taking a worker.
 """
 
 from __future__ import annotations
@@ -41,12 +33,18 @@ from typing import Callable, Optional, Tuple
 from repro.obs import get_obs
 
 
-class ResultMemo:
-    """LRU map of query key → served result, safe for many threads."""
+class GenerationCache:
+    """LRU map of generation-led key → value, safe for many threads.
 
-    def __init__(self, max_entries: int = 512) -> None:
+    ``counter`` names the obs counter the instance's ``hit``, ``miss``
+    and ``evict`` events are counted under (``artifact.cache``,
+    ``serve.memo``, ...).
+    """
+
+    def __init__(self, counter: str, max_entries: int = 32) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
+        self.counter = counter
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, Future]" = OrderedDict()
         self._lock = threading.Lock()
@@ -69,8 +67,8 @@ class ResultMemo:
         """The memoized value for ``key``, computing it on first use.
 
         Returns ``(value, cached)`` where ``cached`` is True when the
-        value came from the memo (including joining another caller's
-        in-flight computation).  ``key[0]`` must be the source
+        value came from the cache (including joining another caller's
+        in-flight computation).  ``key[0]`` must be the store
         generation.
         """
         obs = get_obs()
@@ -79,12 +77,11 @@ class ResultMemo:
             leader = flight is None
             if leader:
                 self.misses += 1
-                if obs.enabled:
-                    obs.metrics.counter("serve.memo", event="miss").inc()
+                self._count(obs, "miss")
                 stale = [k for k in self._entries if k[0] != key[0]]
                 for k in stale:
                     del self._entries[k]
-                self._note_evictions(obs, len(stale))
+                self._evicted(obs, len(stale))
                 flight = Future()
                 self._entries[key] = flight
                 while len(self._entries) > self.max_entries:
@@ -92,7 +89,7 @@ class ResultMemo:
                     if dropped is flight:  # never evict our own flight
                         break
                     del self._entries[dropped_key]
-                    self._note_evictions(obs, 1)
+                    self._evicted(obs, 1)
 
         if not leader:
             return flight.result(), True
@@ -114,15 +111,17 @@ class ResultMemo:
         if flight is not None:
             self.hits += 1
             self._entries.move_to_end(key)
-            if obs.enabled:
-                obs.metrics.counter("serve.memo", event="hit").inc()
+            self._count(obs, "hit")
         return flight
 
-    def _note_evictions(self, obs, n: int) -> None:
+    def _evicted(self, obs, n: int) -> None:
         if n:
             self.evictions += n
-            if obs.enabled:
-                obs.metrics.counter("serve.memo", event="evict").inc(n)
+            self._count(obs, "evict", n)
+
+    def _count(self, obs, event: str, n: int = 1) -> None:
+        if obs.enabled:
+            obs.metrics.counter(self.counter, event=event).inc(n)
 
     def clear(self) -> None:
         with self._lock:

@@ -10,10 +10,10 @@ produce bit-identical ``matched_pairs()``: every task is a pure
 function of (source, plan, matcher), and reduction never looks at
 timing.
 
-Parallel workers each hold their own artifact cache, seeded once per
-pool from a pickled copy of the source; tasks for the same plan are
-chunked together so a window is materialized once per worker, not once
-per matcher.
+Parallel workers each hold their own artifact cache and report memo
+(both :class:`~repro.exec.cache.GenerationCache`\\ s), seeded once per
+pool from the source; tasks for the same plan are chunked together so
+a window is materialized once per worker, not once per matcher.
 
 The pool itself is *persistent*: a :class:`ParallelExecutor` creates
 its ``ProcessPoolExecutor`` once and reuses it across every
@@ -42,6 +42,7 @@ from repro.core.matching.rm2 import RM2Matcher
 from repro.core.matching.rm3 import RM3Matcher
 from repro.core.matching.subset import SubsetMatcher
 from repro.exec.artifacts import ArtifactCache, build_report, match_artifacts
+from repro.exec.cache import GenerationCache
 from repro.exec.plan import WindowPlan
 from repro.obs import get_obs
 
@@ -165,22 +166,22 @@ class SerialExecutor(Executor):
 _WORKER_CACHE: Optional[ArtifactCache] = None
 
 #: Per-worker memo of whole-window matching reports, keyed by
-#: ``(plan key, matcher names)``.  Analysis fan-out tasks for
-#: one report share the matching work through this; it lives exactly as
-#: long as the worker process (= the pool), and the pool is keyed on
-#: the source generation, so entries can never go stale.
-_WORKER_REPORTS: dict = {}
+#: ``(generation, t0, t1, user_jobs_only, matcher names)``.  Analysis
+#: fan-out tasks for one report share the matching work through it.
+#: It is bounded like the artifact cache: a report's results hold
+#: their window's packs.
+_WORKER_REPORTS: Optional[GenerationCache] = None
 
 
 def _worker_init(source) -> None:
-    global _WORKER_CACHE
+    global _WORKER_CACHE, _WORKER_REPORTS
     if isinstance(source, shm.ArchiveRef):
         # Zero-copy path: the initializer received a pack-archive
         # handle, not a pickled source — attach to the memory-mapped
         # columns instead of deserializing megabytes of records.
         source = shm.attach(source)
     _WORKER_CACHE = ArtifactCache(source)
-    _WORKER_REPORTS.clear()
+    _WORKER_REPORTS = GenerationCache("executor.reports")
 
 
 def worker_cache() -> ArtifactCache:
@@ -192,12 +193,10 @@ def worker_cache() -> ArtifactCache:
 def worker_report(plan: WindowPlan, matchers: Sequence[BaseMatcher]) -> MatchingReport:
     """Memoized whole-window report inside one worker process."""
     cache = worker_cache()
-    generation = getattr(cache.source, "generation", 0)
-    key = (plan.key(generation), tuple(m.name for m in matchers))
-    report = _WORKER_REPORTS.get(key)
-    if report is None:
-        report = build_report(cache.get(plan), matchers)
-        _WORKER_REPORTS[key] = report
+    key = (*plan.key(cache.source.generation), tuple(m.name for m in matchers))
+    report, _ = _WORKER_REPORTS.get_or_compute(
+        key, lambda: build_report(cache.get(plan), matchers)
+    )
     return report
 
 
@@ -288,7 +287,7 @@ class ParallelExecutor(Executor):
     # -- persistent pool lifecycle -------------------------------------------
 
     def _source_key(self, source) -> tuple:
-        return ("source", source_token(source), getattr(source, "generation", 0))
+        return ("source", source_token(source), source.generation)
 
     def _shm_wanted(self, source) -> bool:
         if self.shared_memory is None:

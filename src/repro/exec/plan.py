@@ -36,9 +36,9 @@ class WindowPlan:
     def window(self) -> Tuple[float, float]:
         return (self.t0, self.t1)
 
-    def key(self, generation: int) -> Tuple[float, float, bool, int]:
-        """Cache key: the plan plus the source's data generation."""
-        return (self.t0, self.t1, self.user_jobs_only, generation)
+    def key(self, generation: int) -> Tuple[int, float, float, bool]:
+        """Cache key: the source's data generation, then the plan."""
+        return (generation, self.t0, self.t1, self.user_jobs_only)
 
 
 def growing_plans(

@@ -1,12 +1,13 @@
 """Multi-tenant serving over the shared metastore (§4 operations view).
 
-The batch dataplane of PRs 1-6 answers one caller at a time; this
-package turns it into a long-lived service: admission control
+The batch dataplane answers one caller at a time; this package turns
+it into a long-lived service: admission control
 (:mod:`~repro.serve.admission`), weighted fair scheduling across
-tenants (:mod:`~repro.serve.scheduler`), generation-keyed cross-tenant
-result memoization (:mod:`~repro.serve.memo`), the asyncio service
-itself (:mod:`~repro.serve.service`), and an open-loop Poisson load
-generator plus saturation benchmark (:mod:`~repro.serve.loadgen`,
+tenants (:mod:`~repro.serve.scheduler`), the asyncio service itself
+(:mod:`~repro.serve.service`, whose cross-tenant result memo is the
+dataplane's generation-keyed, single-flight
+:class:`~repro.exec.cache.GenerationCache`), and an open-loop Poisson
+load generator plus saturation benchmark (:mod:`~repro.serve.loadgen`,
 :mod:`~repro.serve.bench`).  Served results are bit-identical to the
 batch pipeline's — continuously sampled in-service, property-tested in
 ``tests/test_serve.py``, and gated in CI.
@@ -21,7 +22,6 @@ from repro.serve.admission import (
 )
 from repro.serve.bench import BenchConfig, default_tenants, run_serve_bench
 from repro.serve.loadgen import Arrival, LoadSpec, RunStats, Workload, run_workload
-from repro.serve.memo import ResultMemo
 from repro.serve.scheduler import FairScheduler
 from repro.serve.service import (
     AnalysisQuery,
@@ -44,7 +44,6 @@ __all__ = [
     "MatchQuery",
     "MatchService",
     "Response",
-    "ResultMemo",
     "RunStats",
     "RWLock",
     "SHED_QUEUE",

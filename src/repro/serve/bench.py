@@ -104,7 +104,6 @@ class BenchConfig:
     long_fraction: float = 0.1
     dashboard_windows: int = 4
     verify_every: int = 37
-    memo_entries: int = 512
     #: ingest a generation-bumping batch mid-run at this ladder index
     ingest_level: int = 0
 
@@ -150,7 +149,6 @@ async def _run_ladder(config: BenchConfig, study: EightDayStudy) -> dict:
                     burst=config.tenant_burst,
                     queue_depth=config.queue_depth,
                 ),
-                memo_entries=config.memo_entries,
                 verify_every=config.verify_every,
             ),
         )

@@ -3,9 +3,11 @@
 :class:`MatchService` is a long-lived asyncio front end over the
 dataplane: one shared metastore
 (:class:`~repro.metastore.packsource.PackSource`), one thread-safe
-:class:`~repro.exec.artifacts.ArtifactCache`, one cross-tenant
-:class:`~repro.serve.memo.ResultMemo`, and a bounded pool of compute
-workers.  Request flow::
+:class:`~repro.exec.artifacts.ArtifactCache`, one cross-tenant memo of
+served results, and a bounded pool of compute workers.  The memo and
+the artifact cache are both the dataplane's one generation-keyed,
+single-flight LRU (:class:`~repro.exec.cache.GenerationCache`).
+Request flow::
 
     submit ──► admission (token bucket + queue bound) ──► shed?
                   │
@@ -17,9 +19,9 @@ workers.  Request flow::
            per-tenant FIFO + stride scheduler (weighted fair order)
                   │
                   ▼
-           bounded worker pool ──► memo (generation-keyed, single
-                  │                 flight) ──► ArtifactCache ──►
-                  ▼                 Exact/RM1/RM2 kernels / analyses
+           bounded worker pool ──► memo flight ──► ArtifactCache flight
+                  │                        ──► Exact/RM1/RM2 kernels
+                  ▼                            and analyses
                response
 
 Only real computations take a worker: a memo hit is answered on the
@@ -39,13 +41,8 @@ generation its memo key and response carry.  Stale
 results can never be served: keys embed the generation, and the memo
 evicts dead generations on the next miss.
 
-Compute is CPU-bound Python/NumPy; the worker pool is threads by
-default (they share the artifact cache and release the GIL inside the
-kernels).  Passing ``executor=ParallelExecutor(...)`` routes whole
-match reports through the persistent process pool instead — several
-service threads then issue concurrent ``execute`` calls against one
-pool key, which is exactly the sharing contract the executor's lock
-now guarantees.
+Compute is CPU-bound Python/NumPy on a pool of threads, which share
+the artifact cache and release the GIL inside the kernels.
 
 Built-in verification: with ``verify_every=N`` every Nth admitted
 request is sampled at admission and sent to a worker even when its key
@@ -67,14 +64,17 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.matching.base import LazyMatches
 from repro.exec.analysis import ANALYSIS_NAMES, AnalysisSpec, analyze_report
 from repro.exec.artifacts import ArtifactCache, WindowArtifacts, build_report
-from repro.exec.executor import ParallelExecutor, default_matchers
+from repro.exec.cache import GenerationCache
+from repro.exec.executor import default_matchers
 from repro.exec.plan import WindowPlan
 from repro.obs import get_obs
 from repro.serve.admission import AdmissionController, AdmissionPolicy
-from repro.serve.memo import ResultMemo
 from repro.serve.scheduler import FairScheduler
 
 DEFAULT_METHODS: Tuple[str, ...] = ("exact", "rm1", "rm2")
+
+#: Served-result memo capacity, across tenants, windows and specs.
+MEMO_ENTRIES = 512
 
 
 def bit_identical(a, b) -> bool:
@@ -262,10 +262,6 @@ class ServeConfig:
     max_workers: int = 4
     #: default per-tenant admission policy (overridable per tenant)
     policy: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    #: served-result memo capacity
-    memo_entries: int = 512
-    #: window-artifact cache capacity
-    cache_entries: int = 32
     #: recompute every Nth admitted request directly and compare (0 = off)
     verify_every: int = 0
 
@@ -289,15 +285,13 @@ class MatchService:
         known_sites: Optional[set] = None,
         tenants: Optional[Dict[str, float]] = None,
         config: Optional[ServeConfig] = None,
-        executor: Optional[ParallelExecutor] = None,
         clock=None,
     ) -> None:
         self.source = source
         self.known_sites = known_sites or set()
         self.config = config or ServeConfig()
-        self.executor = executor
-        self.cache = ArtifactCache(source, max_entries=self.config.cache_entries)
-        self.memo = ResultMemo(max_entries=self.config.memo_entries)
+        self.cache = ArtifactCache(source)
+        self.memo = GenerationCache("serve.memo", MEMO_ENTRIES)
         self.rwlock = RWLock()
         self.admission = AdmissionController(clock=clock)
         self.scheduler = FairScheduler()
@@ -364,7 +358,7 @@ class MatchService:
         samples here.
         """
         with self.rwlock.read():
-            generation = getattr(self.source, "generation", 0)
+            generation = self.source.generation
             key = query.key(generation)
             value, cached = self.memo.get_or_compute(
                 key, lambda: self._execute(query)
@@ -396,18 +390,13 @@ class MatchService:
         """Uncached compute of one query (called under the memo flight)."""
         plan = WindowPlan(query.t0, query.t1, query.user_jobs_only)
         if isinstance(query, MatchQuery):
-            if self.executor is not None:
-                return self.executor.execute(
-                    self.source, [plan], matchers=self._matchers(query.methods)
-                )[0]
             return build_report(self.cache.get(plan), self._matchers(query.methods))
         # Analysis: share the window's full match report through the
         # memo (the same entry a MatchQuery for this window would use),
         # then run just the requested spec over it.
         mq = query.match_query()
-        generation = getattr(self.source, "generation", 0)
         report, _ = self.memo.get_or_compute(
-            mq.key(generation), lambda: self._execute(mq)
+            mq.key(self.source.generation), lambda: self._execute(mq)
         )
         artifacts = self.cache.get(plan)
         return analyze_report(report, artifacts, [self._spec(query)])[query.spec]
@@ -463,8 +452,6 @@ class MatchService:
         self._wake.set()
         await self._dispatcher
         self._pool.shutdown(wait=True)
-        if self.executor is not None:
-            self.executor.close()
 
     async def __aenter__(self) -> "MatchService":
         return await self.start()
@@ -499,7 +486,7 @@ class MatchService:
         if not verify:
             # No lock: the generation only grows (module docstring),
             # and a miss re-reads it under the lock in the worker.
-            generation = getattr(self.source, "generation", 0)
+            generation = self.source.generation
             flight = self.memo.lookup(query.key(generation))
             if flight is not None:
                 return await self._from_memo(tenant, flight, generation, t_submit)

@@ -19,6 +19,7 @@ from repro.exec import (
     ArtifactCache,
     ParallelExecutor,
     SerialExecutor,
+    WindowArtifacts,
     WindowPlan,
     default_matchers,
     growing_plans,
@@ -44,7 +45,7 @@ class TestWindowPlan:
     def test_key_includes_generation(self):
         plan = WindowPlan(0.0, 10.0)
         assert plan.key(1) != plan.key(2)
-        assert plan.key(3) == (0.0, 10.0, True, 3)
+        assert plan.key(3) == (3, 0.0, 10.0, True)
 
     def test_plans_are_hashable_and_ordered(self):
         plans = sliding_plans(0.0, 100.0, 25.0)
@@ -325,9 +326,103 @@ class TestArtifactCacheThreadSafety:
 
         with ThreadPoolExecutor(8) as pool:
             got = [f.result() for f in [pool.submit(work, i) for i in range(8)]]
-        # first insert wins: late racers adopt the cached object, so at
-        # most one materialization survives and later gets share it
+        # single flight: racers join the leader's materialization, so
+        # every caller and every later get share one object
         assert len(cache) == 1
         survivor = cache.get(plan)
-        assert sum(1 for a in got if a is survivor) >= 1
+        assert all(a is survivor for a in got)
         assert cache.get(plan) is survivor
+
+    @staticmethod
+    def _race(cache, plan, n=8):
+        """``n`` threads call ``cache.get(plan)`` at once, switching every
+        microsecond; returns each thread's artifacts or the exception it
+        raised."""
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        barrier = threading.Barrier(n, timeout=10.0)
+
+        def work(_):
+            barrier.wait()
+            try:
+                return cache.get(plan)
+            except RuntimeError as exc:
+                return exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(n) as pool:
+                futures = [pool.submit(work, i) for i in range(n)]
+                return [f.result(timeout=10.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _held_materialize(monkeypatch, cache, n, fail=False):
+        """Patch ``WindowArtifacts.materialize`` to wait until all ``n``
+        racers have reached the cache (each counts a hit or a miss
+        before it waits or materializes), then materialize or raise.
+        Returns the list of calls."""
+        import time
+
+        real = WindowArtifacts.materialize.__func__
+        calls = []
+
+        def held(cls, source, plan):
+            calls.append(plan)
+            deadline = time.monotonic() + 5.0
+            while cache.hits + cache.misses < n and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if fail:
+                raise RuntimeError("materialize failed")
+            return real(cls, source, plan)
+
+        monkeypatch.setattr(WindowArtifacts, "materialize", classmethod(held))
+        return calls
+
+    def test_racing_misses_materialize_once(self, monkeypatch):
+        cache = ArtifactCache(tiny_source())
+        plan = WindowPlan(0.0, 10_000.0)
+        calls = self._held_materialize(monkeypatch, cache, 8)
+        got = self._race(cache, plan)
+        assert calls == [plan]
+        assert all(a is got[0] for a in got)
+        assert isinstance(got[0], WindowArtifacts)
+        assert (cache.stats["hits"], cache.stats["misses"]) == (7, 1)
+
+    def test_failed_materialize_reaches_every_joiner_and_is_retried(self, monkeypatch):
+        cache = ArtifactCache(tiny_source())
+        plan = WindowPlan(0.0, 10_000.0)
+        calls = self._held_materialize(monkeypatch, cache, 8, fail=True)
+        got = self._race(cache, plan)
+        assert calls == [plan]
+        assert all(isinstance(e, RuntimeError) and e is got[0] for e in got)
+        assert len(cache) == 0  # the failure was not cached
+        monkeypatch.undo()
+        artifacts = cache.get(plan)
+        assert isinstance(artifacts, WindowArtifacts) and len(artifacts.jobs) == 1
+        assert cache.get(plan) is artifacts
+        assert (cache.stats["hits"], cache.stats["misses"]) == (8, 2)
+
+
+class TestWorkerReportMemo:
+    """The process pool's per-worker report memo, driven in-process."""
+
+    def test_report_memo_stays_bounded(self, monkeypatch):
+        from repro.exec import executor
+
+        # _worker_init rebinds both globals; monkeypatch restores them
+        monkeypatch.setattr(executor, "_WORKER_CACHE", None)
+        monkeypatch.setattr(executor, "_WORKER_REPORTS", None)
+        executor._worker_init(tiny_source())
+        memo = executor._WORKER_REPORTS
+        matchers = default_matchers({"SITE-A"})
+        plans = [WindowPlan(0.0, 1_000.0 * (k + 1)) for k in range(memo.max_entries + 5)]
+        reports = [executor.worker_report(plan, matchers) for plan in plans]
+        assert len(memo) == memo.max_entries
+        assert memo.stats["evictions"] == 5
+        assert executor.worker_report(plans[-1], matchers) is reports[-1]
+        assert [r.window for r in reports] == [p.window for p in plans]

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec.analysis import run_analyses
+from repro.exec.cache import GenerationCache
 from repro.exec.plan import WindowPlan
 from repro.metastore.packsource import PackSource
 from repro.obs import Obs, use_obs
@@ -40,7 +41,6 @@ from repro.serve import (
     LoadSpec,
     MatchQuery,
     MatchService,
-    ResultMemo,
     RWLock,
     ServeConfig,
     TokenBucket,
@@ -217,15 +217,17 @@ class TestFairScheduler:
 
 
 class TestResultMemo:
+    """The serve memo: a plain :class:`GenerationCache`."""
+
     def test_hit_returns_same_object(self):
-        memo = ResultMemo()
+        memo = GenerationCache("serve.memo")
         value, cached = memo.get_or_compute((1, "k"), lambda: object())
         assert not cached
         again, cached2 = memo.get_or_compute((1, "k"), lambda: object())
         assert cached2 and again is value
 
     def test_single_flight_under_threads(self):
-        memo = ResultMemo()
+        memo = GenerationCache("serve.memo")
         computes = []
         gate = threading.Event()
 
@@ -248,7 +250,7 @@ class TestResultMemo:
         assert sum(1 for _, cached in results if not cached) == 1
 
     def test_generation_eviction(self):
-        memo = ResultMemo()
+        memo = GenerationCache("serve.memo")
         memo.get_or_compute((1, "a"), lambda: "old")
         memo.get_or_compute((1, "b"), lambda: "old")
         memo.get_or_compute((2, "a"), lambda: "new")
@@ -256,7 +258,7 @@ class TestResultMemo:
         assert memo.stats["evictions"] == 2
 
     def test_lru_bound(self):
-        memo = ResultMemo(max_entries=2)
+        memo = GenerationCache("serve.memo", max_entries=2)
         for k in range(4):
             memo.get_or_compute((1, k), lambda: k)
         assert len(memo) == 2
@@ -265,7 +267,7 @@ class TestResultMemo:
         assert not cached
 
     def test_lookup_never_starts_a_flight(self):
-        memo = ResultMemo(max_entries=2)
+        memo = GenerationCache("serve.memo", max_entries=2)
         assert memo.lookup((1, "a")) is None
         assert len(memo) == 0
         assert (memo.stats["hits"], memo.stats["misses"]) == (0, 0)
@@ -280,7 +282,7 @@ class TestResultMemo:
         assert memo.lookup((1, "a")) is flight
 
     def test_failure_not_cached(self):
-        memo = ResultMemo()
+        memo = GenerationCache("serve.memo")
 
         def boom():
             raise RuntimeError("no")
