@@ -80,16 +80,18 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
     # hard floor in-process.  With workers > 1 the wall-clock depends on
     # how many cores the host actually has — process spawn + source
     # pickling can swamp this small workload on a 1-core box — so the
-    # multi-worker runs assert identical output above and record timing.
+    # multi-worker runs stop after asserting identical output above, and
+    # write no record: CI runs this bench serially and then with
+    # --workers 2, and the committed record is the serial run's.
     # Floor: materialization is cheap next to the join, which shrinks
     # the naive side (3x more materializations) disproportionately;
     # the structural guarantee is the build-count assertion above, the
     # wall-clock floor just catches gross regressions.
-    if workers == 1:
-        assert speedup >= 1.2, (
-            f"sweep executor must beat per-run rebuilds: {speedup:.2f}x "
-            f"(naive {t_naive:.2f}s, executor {t_exec:.2f}s)")
-
+    if workers != 1:
+        return
+    assert speedup >= 1.2, (
+        f"sweep executor must beat per-run rebuilds: {speedup:.2f}x "
+        f"(naive {t_naive:.2f}s, executor {t_exec:.2f}s)")
     write_comparison(
         "matching_sweep_executor",
         paper={"note": "paper reports no timings; §5.5 demands scalability"},

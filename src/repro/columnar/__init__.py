@@ -37,7 +37,7 @@ def __getattr__(name):
 from repro.columnar.interner import StringInterner  # noqa: E402
 from repro.columnar.kernels import (  # noqa: E402
     bucket_accumulate,
-    first_occurrences,
+    dense_codes,
     group_boundaries,
     interval_union_lengths,
     segmented_cummax,
@@ -45,6 +45,7 @@ from repro.columnar.kernels import (  # noqa: E402
 from repro.columnar.packs import (  # noqa: E402
     FilePack,
     JobPack,
+    RowCodes,
     TransferPack,
     WindowColumns,
     lower_files,
@@ -59,11 +60,12 @@ __all__ = [
     "FilePack",
     "JobPack",
     "MatchFrame",
+    "RowCodes",
     "StringInterner",
     "TransferPack",
     "WindowColumns",
     "bucket_accumulate",
-    "first_occurrences",
+    "dense_codes",
     "group_boundaries",
     "interval_union_lengths",
     "lower_files",

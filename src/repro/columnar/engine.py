@@ -8,11 +8,14 @@ NumPy kernels.
 
 A run returns an array-first :class:`MatchResult`: the final
 candidate arrays, from which the
-:class:`~repro.columnar.frame.MatchFrame` is gathered on its first
-read, plus a :class:`~repro.core.matching.base.LazyMatches` that
-assembles the ``JobMatch`` list from the window's records only when an
-element is read.  Counting, pairing and the §5 analyses read the frame
-and never the list; the stream reads the list and never the frame.
+:class:`~repro.columnar.frame.MatchFrame` is built on its first read
+(and its columns gathered on theirs), plus a
+:class:`~repro.core.matching.base.LazyMatches` that assembles the
+``JobMatch`` list from the window's records only when an element is
+read.  Counting, pairing and the §5 analyses read the frame and never
+the list; the stream reads the list and never the frame.  RM3 scores
+its candidates once per window and scoring parameters
+(:meth:`ColumnarIndex.rm3_scores`), so each threshold is one mask.
 
 Its output is held bit-identical to the plain-record reference join in
 ``tests/oracle.py``, whose ordering rules are reproduced exactly:
@@ -39,7 +42,7 @@ Anything else is rejected with ``TypeError`` — there is no fallback.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +64,7 @@ def supports_columnar(matcher: BaseMatcher) -> bool:
     (strict or RM2's relaxation).  ``select_job`` overrides are fine:
     they run per job on the vectorized candidates.  RM3's size-tolerant
     join + scored ``match_job_scored`` are recognized as long as the
-    scoring hooks are the stock ones (:meth:`ColumnarIndex._run_rm3`
+    scoring hooks are the stock ones (:meth:`ColumnarIndex.rm3_scores`
     lowers the score directly, not through the scalar hooks).
     """
     cls = type(matcher)
@@ -159,6 +162,7 @@ class ColumnarIndex:
         self._time_mask: Optional[np.ndarray] = None
         self._strict_site_mask: Optional[np.ndarray] = None
         self._endpoints: Optional[tuple] = None
+        self._rm3_scores: Dict[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- join construction -------------------------------------------------------
 
@@ -414,15 +418,38 @@ class ColumnarIndex:
         return result
 
     def _run_rm3(self, matcher: RM3Matcher, n_transfers_considered: int) -> MatchResult:
-        """RM3's scored decision as one vectorized pass.
+        """RM3's scored decision: ``score >= threshold`` over the window's
+        scored candidates (:meth:`rm3_scores`), so every threshold of a
+        sweep is one mask over one scoring pass."""
+        cand_job, cand_tpos, score = self.rm3_scores(matcher)
+        keep = score >= matcher.threshold
+        return self._result(
+            matcher, cand_job[keep], cand_tpos[keep], n_transfers_considered
+        )
+
+    def rm3_scores(self, matcher: RM3Matcher) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """RM3's gated candidates and their scores, as
+        ``(cand_job, cand_tpos, score)``, computed once per window and
+        scoring parameters.
 
         Mirrors :meth:`RM3Matcher.match_job_scored` bit for bit over
         the size-relaxed join arrays: the hard gate (condition (1) +
-        directedness), then ``(f_time * f_site) * f_size >= threshold``
-        in the same association order and with the same int→float64
-        conversions as the scalar hooks (see the module docstring of
-        :mod:`repro.core.matching.rm3`).
+        directedness), then ``(f_time * f_site) * f_size`` in the same
+        association order and with the same int→float64 conversions as
+        the scalar hooks (see the module docstring of
+        :mod:`repro.core.matching.rm3`).  The score depends on the
+        matcher only through ``tau``, ``rho``, the two site factors and
+        ``known_sites`` (RM2's uncertainty rule), which key the cache;
+        the threshold does not.  Racing first callers each compute the
+        same arrays and the first published entry is kept.
         """
+        key = (
+            matcher.tau, matcher.rho, matcher.site_prior, matcher.site_contra,
+            frozenset(matcher.known_sites),
+        )
+        scored = self._rm3_scores.get(key)
+        if scored is not None:
+            return scored
         tp, jp, fp = self.columns.transfers, self.columns.jobs, self.columns.files
         r_job, r_tpos, r_fi = self.relaxed_join()
         with np.errstate(invalid="ignore"):
@@ -453,10 +480,7 @@ class ColumnarIndex:
         )
 
         score = (f_time * f_site) * f_size
-        keep = score >= matcher.threshold
-        return self._result(
-            matcher, cand_job[keep], cand_tpos[keep], n_transfers_considered
-        )
+        return self._rm3_scores.setdefault(key, (cand_job, cand_tpos, score))
 
     def _select_per_job(
         self, matcher: BaseMatcher, cand_job: np.ndarray, cand_tpos: np.ndarray

@@ -3,8 +3,8 @@
 These are the array primitives the join and the §5 analyses lower to:
 ragged ranges for CSR expansion, segmented prefix maxima over CSR
 ragged arrays, the sorted-boundary interval union behind the paper's
-"file transfer time", first-occurrence deduplication, and
-sequential-order bucket accumulation.
+"file transfer time", dense codes over row ids (the distinct-transfer
+counts), and sequential-order bucket accumulation.
 
 Bit-identity with the row implementations is the contract, so every
 kernel reproduces the reference code's *accumulation order*, not just
@@ -15,6 +15,13 @@ its mathematical value:
   float additions as the row loop's ``total += cur_end - cur_start``;
 * bucket weights use ``np.bincount`` whose inner loop adds weights in
   input order, like ``buckets[k] += size`` record by record;
+* bucket indices follow Python's ``(t - t0) // bucket_seconds``.
+  ``bucket_accumulate`` takes ``np.floor`` of the rounded quotient,
+  which equals the floor of the exact quotient unless the rounded
+  quotient is itself an integer that the exact one lies just below
+  (``1.0 // 0.1`` is 9, ``floor(1.0 / 0.1)`` is 10).  Only those
+  quotients, and only inside the bucket range, are recomputed with
+  ``np.floor_divide`` (the fmod-corrected floor Python's ``//`` uses);
 * maxima (``np.maximum.reduceat``, the segmented scan) are exact — no
   rounding is involved in ``max`` — so run boundaries match the row
   merge exactly.
@@ -125,16 +132,23 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@instrument_kernel("first_occurrences", rows=lambda values: len(values))
-def first_occurrences(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(unique_values, first_positions)`` — a ``seen``-set
-    first-occurrence dedup, as one ``np.unique`` pass.
+def dense_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct, codes)``: the distinct values ascending, and each
+    value's position among them, so ``distinct[codes] == values``.
 
-    ``first_positions`` indexes the *first* appearance of each unique
-    value in ``values``' original order, so gathering a companion
-    column at those positions matches "first occurrence wins" exactly.
+    One stable argsort (linear on already-sorted input, which row ids in
+    pack order usually are).  Equal values share a code wherever they
+    sit, so a scatter over the codes counts distinct values without
+    sorting again.
     """
-    return np.unique(values, return_index=True)
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    head = np.empty(len(ordered), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    codes = np.empty(len(values), dtype=np.int64)
+    codes[order] = np.cumsum(head) - 1
+    return ordered[head], codes
 
 
 @instrument_kernel("bucket_accumulate", rows=lambda times, *a, **k: len(times))
@@ -149,23 +163,34 @@ def bucket_accumulate(
 
     Out-of-range events are dropped; in-range weights accumulate in
     input order (``np.bincount``'s inner loop), matching the row loops'
-    sequential float additions.  ``np.floor_divide`` on float64 follows
-    Python's ``//`` semantics (fmod-corrected floor), so bucket
-    assignment agrees with ``int((t - t0) // bucket_seconds)`` on the
-    row path.
+    sequential float additions.  ``k`` is ``floor((t - t0) / b)``
+    except where the rounded quotient is an integer in ``[0,
+    n_buckets]``; there the exact quotient may lie just below it, and
+    ``np.floor_divide`` (Python's fmod-corrected ``//``) decides.  NaN
+    and infinite times fall outside every bucket.  At most two
+    full-length temporaries are alive at once (the quotient and its
+    floor, then the indices and the float weights).
     """
-    out = np.zeros(n_buckets, dtype=np.float64)
-    if len(times) == 0:
-        return out
-    k = np.floor_divide(times - t0, bucket_seconds)
-    valid = (k >= 0) & (k < n_buckets)
-    if valid.any():
-        out += np.bincount(
-            k[valid].astype(np.int64),
-            weights=np.asarray(weights, dtype=np.float64)[valid],
-            minlength=n_buckets,
-        )
-    return out
+    times = np.asarray(times, dtype=np.float64)
+    q = times - t0
+    q /= bucket_seconds
+    k = np.floor(q)
+    edge = np.flatnonzero(k == q)
+    edge = edge[(k[edge] >= 0) & (k[edge] <= n_buckets)]
+    if len(edge):
+        k[edge] = np.floor_divide(times[edge] - t0, bucket_seconds)
+    del q
+    # Out-of-range and NaN events land in a spare bucket past the end,
+    # which is cut off; the kept buckets see the same additions in the
+    # same order.
+    dropped = k >= 0
+    dropped &= k < n_buckets
+    np.logical_not(dropped, out=dropped)
+    k[dropped] = n_buckets
+    k = k.astype(np.int64)
+    return np.bincount(
+        k, weights=np.asarray(weights, dtype=np.float64), minlength=n_buckets + 1
+    )[:n_buckets]
 
 
 @instrument_kernel("group_boundaries", rows=lambda sorted_ids: len(sorted_ids))

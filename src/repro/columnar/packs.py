@@ -16,6 +16,11 @@ Numeric domains: ids and byte counts must fit ``int64``; timestamps are
 ``float64``; a job with no ``endtime`` lowers to ``NaN`` so the strict
 ``starttime < endtime`` comparison is vacuously false, exactly like the
 matcher hooks' ``is not None`` guard.
+
+Each window also carries one :class:`RowCodes` table, built on first
+use (:meth:`WindowColumns.row_codes`): dense codes over the joinable
+transfers' row ids, from which every method's distinct-transfer count
+and Table 1's matched flags are O(n) scatters and gathers.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.columnar.interner import StringInterner
+from repro.columnar.kernels import dense_codes
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
 
 
@@ -175,6 +181,38 @@ def lower_transfers(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class RowCodes:
+    """Dense codes over the row ids of a transfer pack's joinable rows.
+
+    ``rows`` lists the joinable rows (a positive task id: the join's
+    rule, and Table 1's population) and ``ids`` their distinct row ids
+    in ascending order.  ``codes[p]`` is the position of row ``p``'s id
+    in ``ids`` for every joinable row and -1 for the rest.  Rows
+    sharing an id share a code, wherever they sit in the pack.
+    """
+
+    ids: np.ndarray  # int64, ascending, distinct
+    rows: np.ndarray  # int64, ascending pack positions
+    codes: np.ndarray  # int64, one per pack row
+
+    @classmethod
+    def of(cls, transfers: "TransferPack") -> "RowCodes":
+        rows = (transfers.jeditaskid > 0).nonzero()[0]
+        ids, codes = dense_codes(transfers.row_id[rows])
+        by_row = np.full(len(transfers), -1, dtype=np.int64)
+        by_row[rows] = codes
+        return cls(ids=ids, rows=rows, codes=by_row)
+
+    def flags(self, row_ids: np.ndarray) -> np.ndarray:
+        """Per code, whether its id is in ``row_ids`` (ascending)."""
+        out = np.zeros(len(self.ids), dtype=bool)
+        if len(self.ids) and len(row_ids):
+            pos = np.minimum(np.searchsorted(self.ids, row_ids), len(self.ids) - 1)
+            out[pos[self.ids[pos] == row_ids]] = True
+        return out
+
+
 @dataclass
 class WindowColumns:
     """All three packs of one window, lowered through one interner."""
@@ -199,6 +237,23 @@ class WindowColumns:
             files=lower_files(files, it),
             transfers=lower_transfers(transfers, it),
         )
+
+    def row_codes(self) -> RowCodes:
+        """The window's :class:`RowCodes`, built on the first call.
+
+        Racing first callers each build an equal table and the first
+        one published is kept, so every reader sees a complete table.
+        """
+        table = self.__dict__.get("_row_codes")
+        if table is None:
+            table = self.__dict__.setdefault("_row_codes", RowCodes.of(self.transfers))
+        return table
+
+    def __getstate__(self) -> dict:
+        """Pickle the packs, not the derived code table."""
+        state = dict(self.__dict__)
+        state.pop("_row_codes", None)
+        return state
 
     def take(
         self,

@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.columnar.kernels import dense_codes
 from repro.panda.errors import ErrorCode
 from repro.telemetry.records import JobRecord
 from repro.units import ratio_pct
@@ -111,17 +112,21 @@ def grouped_error_mixes(
     by_code: List[Dict[int, int]] = [{} for _ in range(n_groups)]
     if len(f_group):
         # One row per distinct (group, code), visited in the order of
-        # its first failed job (np.unique's return_index is the first
-        # occurrence).
-        _, first, counts = np.unique(
-            np.stack([f_group, f_code], axis=1),
-            axis=0, return_index=True, return_counts=True,
-        )
-        order = np.argsort(first)
+        # its first failed job.  The pair packs into one int64 key over
+        # the codes' ranks, and a stable sort puts each key's first
+        # failed job at the head of its run.
+        vocab, rank = dense_codes(f_code)
+        key = f_group.astype(np.int64) * len(vocab) + rank
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        counts = np.diff(np.append(heads, len(key)))
+        first = order[heads]
+        visit = np.argsort(first)
         for g, code, n in zip(
-            f_group[first[order]].tolist(),
-            f_code[first[order]].tolist(),
-            counts[order].tolist(),
+            f_group[first[visit]].tolist(),
+            f_code[first[visit]].tolist(),
+            counts[visit].tolist(),
         ):
             by_code[g][code] = n
             fam = family_of(code)

@@ -16,7 +16,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.columnar.kernels import group_boundaries
 from repro.columnar.packs import WindowColumns
 from repro.core.analysis.errors import ErrorFamily, ErrorMix, grouped_error_mixes
 from repro.telemetry.records import UNKNOWN_SITE
@@ -62,7 +61,7 @@ def build_dashboards(columns: WindowColumns) -> Dict[str, SiteDashboard]:
     """Per-site dashboards over one window's packs; returns site -> dashboard.
 
     The counts, byte totals and error mixes are bincounts over site
-    codes and the job pack's status and error-code columns.  Sites
+    indices and the job pack's status and error-code columns.  Sites
     appear in first-appearance order: jobs first, then each transfer's
     source before its destination.  That insertion order decides ties
     in :func:`hottest_sites` and :meth:`ErrorMix.dominant_family`.
@@ -70,79 +69,105 @@ def build_dashboards(columns: WindowColumns) -> Dict[str, SiteDashboard]:
     jp, tp, it = columns.jobs, columns.transfers, columns.interner
     # Canonical site codes: the empty label folds into UNKNOWN (a
     # record's ``site or UNKNOWN_SITE``).  When UNKNOWN itself was
-    # never interned, a synthetic code one past the vocabulary stands
+    # never interned, a synthetic code one past every site code stands
     # in for it.
     unk = it.code_of(UNKNOWN_SITE)
+    empty = it.code_of("")
+    # Site codes live in [0, top]: the small arrays below cover that
+    # range, not the whole vocabulary (file names share the interner).
+    top = max(
+        int(jp.site.max(initial=-1)), int(tp.src.max(initial=-1)),
+        int(tp.dst.max(initial=-1)), unk,
+    )
     synthetic_unk = unk < 0
     if synthetic_unk:
-        unk = len(it)
-    empty = it.code_of("")
+        top = unk = top + 1
+    if empty > top:
+        empty = -1  # interned, but no site carries it
+    n_codes = top + 1
 
-    def canon(codes: np.ndarray) -> np.ndarray:
-        return np.where(codes == empty, unk, codes) if empty >= 0 else codes
+    # First appearances, in the order jobs, then each transfer's source
+    # before its destination (a local transfer only touches its source
+    # board, but since src == dst there, the interleaved sequence has
+    # the same first appearances).  Jobs carry nearly every site, so
+    # one minimum-scatter over the jobs orders the sites; only
+    # endpoints naming a site no job carries are scanned after it.
+    n_jobs = len(jp)
+    none = n_jobs + 2 * len(tp)  # past every position
+    first = np.full(n_codes, none, dtype=np.int64)
+    np.minimum.at(first, jp.site, np.arange(n_jobs, dtype=np.int64))
+    if empty >= 0:
+        first[unk] = min(first[unk], first[empty])
+        first[empty] = none
 
-    j_site = canon(jp.site)
-    t_src = canon(tp.src)
-    t_dst = canon(tp.dst)
+    def order_sites():
+        """Site codes by first appearance, and each raw code's site
+        index (-1 for codes not seen yet; empty reads as UNKNOWN)."""
+        present = np.flatnonzero(first < none)
+        codes = present[np.argsort(first[present])]
+        lut = np.full(n_codes, -1, dtype=np.int64)
+        lut[codes] = np.arange(len(codes))
+        if empty >= 0:
+            lut[empty] = lut[unk]
+        return codes, lut
 
-    # Dict insertion order: jobs first, then each transfer's source
-    # before its destination.  (A local transfer only touches its
-    # source board, but since src == dst there, the interleaved
-    # sequence has the same first appearances.)  Each code's first
-    # position is one minimum-scatter over the small code domain, not
-    # a sort of the whole sequence.
-    pair = np.stack([t_src, t_dst], axis=1).ravel() if len(t_src) else t_src
-    seq = np.concatenate([j_site, pair])
-    n_codes = unk + 1 if synthetic_unk else len(it)
-    first_pos = np.full(n_codes, len(seq), dtype=np.int64)
-    np.minimum.at(first_pos, seq, np.arange(len(seq), dtype=np.int64))
-    seen = np.flatnonzero(first_pos < len(seq))
-    site_codes = seen[np.argsort(first_pos[seen])]
+    site_codes, lut = order_sites()
+    s_idx = lut[tp.src]
+    d_idx = lut[tp.dst]
+    missing = [np.flatnonzero(s_idx < 0), np.flatnonzero(d_idx < 0)]
+    if len(missing[0]) or len(missing[1]):
+        for side, (rows, labels) in enumerate(zip(missing, (tp.src, tp.dst))):
+            found = np.where(labels[rows] == empty, unk, labels[rows])
+            np.minimum.at(first, found, n_jobs + 2 * rows + side)
+        site_codes, lut = order_sites()
+        s_idx[missing[0]] = lut[tp.src[missing[0]]]
+        d_idx[missing[1]] = lut[tp.dst[missing[1]]]
     n_sites = len(site_codes)
-    lut = np.full(n_codes, -1, dtype=np.int64)
-    lut[site_codes] = np.arange(n_sites, dtype=np.int64)
 
-    j_idx = lut[j_site]
+    j_idx = lut[jp.site]
     failed = jp.status != it.code_of("finished")
     mixes = grouped_error_mixes(j_idx, failed, jp.error_code, n_sites)
 
     # np.bincount adds its weights in input order, the same float
-    # additions as a per-transfer ``+=``.
-    local = t_src == t_dst
+    # additions as a per-transfer ``+=``.  Keying each endpoint by
+    # ``2 * site + local`` splits local from remote bytes inside one
+    # unmasked bincount per side.
+    local = s_idx == d_idx
+    s_idx *= 2
+    s_idx += local
+    d_idx *= 2
+    d_idx += local
     sizes = tp.size.astype(np.float64)
-    bytes_local = np.bincount(lut[t_src[local]], sizes[local], minlength=n_sites)
-    bytes_out = np.bincount(lut[t_src[~local]], sizes[~local], minlength=n_sites)
-    bytes_in = np.bincount(lut[t_dst[~local]], sizes[~local], minlength=n_sites)
+    by_src = np.bincount(s_idx, sizes, minlength=2 * n_sites)
+    by_dst = np.bincount(d_idx, sizes, minlength=2 * n_sites)
+    bytes_out, bytes_local = by_src[0::2].tolist(), by_src[1::2].tolist()
+    bytes_in = by_dst[0::2].tolist()
 
-    started = ~np.isnan(jp.start)
-    queue = jp.start - jp.creation
-
-    # Per-site job groups in record order (stable argsort), for the
-    # queue-time lists.
-    order = np.argsort(j_idx, kind="stable")
-    starts = group_boundaries(j_idx[order])
-    groups: Dict[int, np.ndarray] = {}
-    for i, lo in enumerate(starts.tolist()):
-        hi = starts[i + 1] if i + 1 < len(starts) else len(order)
-        members = order[lo:int(hi)]
-        groups[int(j_idx[members[0]])] = members
+    # Started jobs grouped by site in record order (a stable sort), for
+    # the queue-time lists.
+    started = np.flatnonzero(~np.isnan(jp.start))
+    site_of = j_idx[started]
+    # Small site indices make the stable sort a radix sort.
+    small = np.int16 if n_sites <= 2**15 else np.int64
+    order = started[np.argsort(site_of.astype(small), kind="stable")]
+    queue = (jp.start[order] - jp.creation[order]).tolist()
+    bounds = np.zeros(n_sites + 1, dtype=np.int64)
+    np.cumsum(np.bincount(site_of, minlength=n_sites), out=bounds[1:])
+    bounds = bounds.tolist()
 
     boards: Dict[str, SiteDashboard] = {}
     for k, code in enumerate(site_codes.tolist()):
         name = UNKNOWN_SITE if (synthetic_unk and code == unk) else it.decode(code)
-        board = SiteDashboard(
+        boards[name] = SiteDashboard(
             site=name,
             n_jobs=mixes[k].n_jobs,
             n_failed=mixes[k].n_failed,
-            bytes_in=float(bytes_in[k]),
-            bytes_out=float(bytes_out[k]),
-            bytes_local=float(bytes_local[k]),
+            queue_times=queue[bounds[k]:bounds[k + 1]],
+            bytes_in=bytes_in[k],
+            bytes_out=bytes_out[k],
+            bytes_local=bytes_local[k],
             error_mix=mixes[k],
         )
-        members = groups.get(k)
-        if members is not None:
-            board.queue_times = queue[members[started[members]]].tolist()
-        boards[name] = board
     return boards
 
 

@@ -44,38 +44,37 @@ def activity_breakdown(result: MatchResult, columns: WindowColumns) -> List[Acti
     """Table 1: matched vs total transfers (with jeditaskid) per activity.
 
     ``columns`` holds the window's transfers (or the whole telemetry's):
-    the tallies are two bincounts over activity codes plus one
-    sorted-membership test against the frame's matched row ids.
+    the tallies are two bincounts over the activity codes of the rows
+    with a task id, which the columns'
+    :class:`~repro.columnar.packs.RowCodes` table lists.  A transfer is
+    matched when its row id is one of the frame's: the frame flags the
+    table's codes it matched, and each row reads its code's flag.
     """
     tp, it = columns.transfers, columns.interner
-    with_task = tp.jeditaskid > 0
-    acts = tp.activity[with_task]
-    vocab = len(it)
-    totals = np.bincount(acts, minlength=vocab) if len(acts) else np.zeros(vocab, np.int64)
-    is_matched = np.isin(tp.row_id[with_task], result.frame().matched_row_ids())
-    matched = (
-        np.bincount(acts[is_matched], minlength=vocab)
-        if is_matched.any()
-        else np.zeros(vocab, np.int64)
-    )
+    table = columns.row_codes()
+    # Activity codes are a handful of small ints, so the bincounts run
+    # without a vocabulary-sized minlength and absent codes read 0.
+    acts = tp.activity[table.rows]
+    totals = np.bincount(acts)
+    is_matched = result.frame().matched_flags(table)[table.codes[table.rows]]
+    matched = np.bincount(acts[is_matched], minlength=len(totals))
+
+    def count(counts: np.ndarray, code: int) -> int:
+        return int(counts[code]) if 0 <= code < len(counts) else 0
+
     rows = []
-    named_codes = []
     for a in TABLE1_ORDER:
         code = it.code_of(a.value)
-        if code >= 0:
-            named_codes.append(code)
         rows.append(
             ActivityRow(
-                activity=a.value,
-                matched=int(matched[code]) if code >= 0 else 0,
-                total=int(totals[code]) if code >= 0 else 0,
+                activity=a.value, matched=count(matched, code), total=count(totals, code)
             )
         )
     # §5.1: "nearly all transfers that have jeditaskid fall to the
     # following activities" — aggregate the small residue (e.g. tape
     # staging done under a task-scoped rule) so Total covers everything.
-    other_total = int(totals.sum()) - sum(int(totals[c]) for c in named_codes)
-    other_matched = int(matched.sum()) - sum(int(matched[c]) for c in named_codes)
+    other_total = int(totals.sum()) - sum(r.total for r in rows)
+    other_matched = int(matched.sum()) - sum(r.matched for r in rows)
     if other_total:
         rows.append(ActivityRow(activity="Other", matched=other_matched, total=other_total))
     rows.append(

@@ -50,7 +50,7 @@ default is calibrated on the 8-day campaign
 pair F1 across degradation severities.
 
 Bit-identity discipline: the columnar kernel
-(:meth:`repro.columnar.engine.ColumnarIndex._run_rm3`) must reproduce
+(:meth:`repro.columnar.engine.ColumnarIndex.rm3_scores`) must reproduce
 this reference exactly, so the score uses only IEEE-deterministic
 float64 operations (+, -, *, /, abs, comparisons — no
 transcendentals), the product is associated ``(f_time * f_site) *

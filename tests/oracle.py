@@ -26,6 +26,12 @@ The five record-level analyses (Table 1, the site dashboards, the
 transfer matrix and the two temporal profiles) run over
 :class:`~repro.columnar.packs.WindowColumns` in production; their
 per-record loops live here, and :func:`analyze` calls them.
+
+So do the array expressions the window pass replaced: distinct
+transfers by one ``np.unique`` sort per frame, Table 1's flags by
+``np.isin``, the dashboards' site order over every endpoint, error
+mixes by ``np.unique(axis=0)``, and bucketing by ``np.floor_divide``.
+The kernel edge-case tests check production against them.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 
 from repro.columnar.interner import StringInterner
 from repro.columnar.packs import WindowColumns
-from repro.core.analysis.errors import error_mix
+from repro.core.analysis.errors import ErrorFamily, ErrorMix, error_mix, family_of
 from repro.core.analysis.matrix import TransferMatrix
 from repro.core.analysis.queuing import (
     JobTransferTiming,
@@ -505,6 +511,97 @@ def analyze(
         else:
             raise ValueError(f"unknown analysis {name!r}")
         out[name] = value
+    return out
+
+
+# -- replaced array expressions -----------------------------------------------
+#
+# The window pass once computed these with a sort (or a slower ufunc)
+# per frame or per analysis; production now answers them from the
+# window's row-code table, one minimum-scatter over the jobs, a packed
+# 1-D key and ``np.floor`` of the rounded quotient.  The old
+# expressions stay here as references for the kernel edge-case tests.
+
+
+def frame_distinct(frame) -> Tuple[np.ndarray, int, Tuple[int, int]]:
+    """``(matched_row_ids, n_matched_transfers, local_remote_split)`` of
+    a frame through one ``np.unique`` sort of its entries' row ids; the
+    first occurrence of each id decides its locality."""
+    ids, first = np.unique(frame.t_row_id, return_index=True)
+    local = int(frame.t_local[first].sum())
+    return ids, len(first), (local, len(first) - local)
+
+
+def matched_flags(row_ids: np.ndarray, matched_ids: np.ndarray) -> np.ndarray:
+    """Table 1's matched flags as a sorted-membership test."""
+    return np.isin(row_ids, matched_ids)
+
+
+def site_first_appearances(columns: WindowColumns) -> List[str]:
+    """Site names in dashboard order: first appearances in one scan of
+    the whole interleaved sequence (jobs, then each transfer's source
+    and destination) that production once minimum-scattered, the empty
+    label read as UNKNOWN."""
+    jp, tp, it = columns.jobs, columns.transfers, columns.interner
+    names = [it.decode(c) or UNKNOWN_SITE for c in range(len(it))]
+    seq = np.concatenate([jp.site, np.stack([tp.src, tp.dst], axis=1).ravel()])
+    first: Dict[str, int] = {}
+    for pos, code in enumerate(seq.tolist()):
+        first.setdefault(names[code], pos)
+    return sorted(first, key=first.__getitem__)
+
+
+def grouped_error_mixes(
+    group: np.ndarray, failed: np.ndarray, codes: np.ndarray, n_groups: int
+) -> List[ErrorMix]:
+    """Per-group error mixes, one ``np.unique(axis=0)`` over the failed
+    jobs' (group, code) rows, visited in first-failure order."""
+    n_jobs = np.bincount(group, minlength=n_groups)
+    f_group, f_code = group[failed], codes[failed]
+    n_failed = np.bincount(f_group, minlength=n_groups)
+    by_family: List[Dict[ErrorFamily, int]] = [{} for _ in range(n_groups)]
+    by_code: List[Dict[int, int]] = [{} for _ in range(n_groups)]
+    if len(f_group):
+        _, first, counts = np.unique(
+            np.stack([f_group, f_code], axis=1),
+            axis=0, return_index=True, return_counts=True,
+        )
+        order = np.argsort(first)
+        for g, code, n in zip(
+            f_group[first[order]].tolist(),
+            f_code[first[order]].tolist(),
+            counts[order].tolist(),
+        ):
+            by_code[g][code] = n
+            fam = family_of(code)
+            by_family[g][fam] = by_family[g].get(fam, 0) + n
+    return [
+        ErrorMix(int(n_jobs[g]), int(n_failed[g]), by_family[g], by_code[g])
+        for g in range(n_groups)
+    ]
+
+
+def bucket_accumulate(
+    times: np.ndarray,
+    weights: np.ndarray,
+    t0: float,
+    bucket_seconds: float,
+    n_buckets: int,
+) -> np.ndarray:
+    """``buckets[k] += w`` with every ``k`` from ``np.floor_divide``,
+    the fmod-corrected floor of Python's ``//``."""
+    out = np.zeros(n_buckets, dtype=np.float64)
+    if len(times) == 0:
+        return out
+    with np.errstate(invalid="ignore"):
+        k = np.floor_divide(np.asarray(times, dtype=np.float64) - t0, bucket_seconds)
+    valid = (k >= 0) & (k < n_buckets)
+    if valid.any():
+        out += np.bincount(
+            k[valid].astype(np.int64),
+            weights=np.asarray(weights, dtype=np.float64)[valid],
+            minlength=n_buckets,
+        )
     return out
 
 

@@ -11,11 +11,16 @@ tolerances.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.analysis.errors import ErrorFamily, top_error_codes
+from repro.columnar.frame import MatchFrame
+from repro.columnar.kernels import bucket_accumulate
+from repro.core.analysis.errors import ErrorFamily, grouped_error_mixes, top_error_codes
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.queuing import (
     correlation_size_vs_time,
@@ -41,10 +46,12 @@ from repro.exec import (
     default_matchers,
     run_analyses,
 )
+from repro.core.matching.rm3 import RM3Matcher
+from repro.exec.artifacts import build_report, match_artifacts
 from repro.telemetry.records import UNKNOWN_SITE
 
 from tests import oracle
-from tests.helpers import make_job
+from tests.helpers import columns_of, make_file, make_job, make_transfer
 from tests.test_columnar import KNOWN, _ingest, degraded_windows
 
 PLAN = WindowPlan(0.0, 10_000.0)
@@ -112,6 +119,84 @@ class TestFrameBuilders:
             assert eager.n_matched_transfers == lazy.n_matched_transfers
             assert eager.local_remote_split() == lazy.local_remote_split()
             assert eager.jobs_by_class() == lazy.jobs_by_class()
+
+    @given(degraded_windows())
+    @settings(max_examples=30, deadline=None)
+    def test_lazy_frame_equals_eager(self, window):
+        """A kernel frame gathers its columns on first read; under
+        ``==`` it equals the record lowering over the same vocabulary,
+        and so does its pickled copy, which carries every column."""
+        artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
+        for matcher in default_matchers(KNOWN) + [RM3Matcher(KNOWN)]:
+            result = match_artifacts(matcher, artifacts)
+            lazy = MatchFrame.from_candidates(*result._frame_args)
+            shipped = pickle.loads(pickle.dumps(lazy))
+            eager = MatchFrame.from_matches(
+                list(result.matches), interner=artifacts.columns.interner)
+            assert lazy == eager and eager == lazy
+            assert shipped == eager
+
+    def test_table2_gathers_no_column(self, small_study):
+        """Table 2 reads locality flags, class codes and row codes; no
+        time, size, id or status column is gathered for it."""
+        artifacts = ArtifactCache(small_study.source).get(
+            WindowPlan(*small_study.harness.window))
+        result = match_artifacts(
+            default_matchers(small_study.harness.known_site_names())[1], artifacts)
+        frame = result.frame()
+        frame.local_remote_split(), frame.jobs_by_class(), frame.n_matched_transfers
+        gathered = {"pandaid", "status", "taskstatus", "site", "creation", "start",
+                    "end", "transfer_bytes", "t_row_id", "t_start", "t_end", "t_size"}
+        assert not gathered & set(frame.__dict__)
+        assert len(frame) > 0 and frame.pandaid.tolist()  # and gathers on read
+        assert "pandaid" in frame.__dict__
+
+    @given(degraded_windows())
+    @settings(max_examples=30, deadline=None)
+    def test_row_codes_keep_first_occurrence(self, window):
+        """Distinct-transfer answers from the window's code table equal
+        one ``np.unique`` sort per frame, duplicate row ids at different
+        pack positions included; Table 1's flags equal ``np.isin`` over
+        the window's own table and over another lowering (one more row,
+        whose id shifts every code)."""
+        artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
+        report = build_report(artifacts, default_matchers(KNOWN) + [RM3Matcher(KNOWN)])
+        foreign = columns_of(
+            artifacts.jobs, [make_transfer(row_id=-1), *artifacts.transfers])
+        for result in report.results.values():
+            frame = result.frame()
+            ids, n, split = oracle.frame_distinct(frame)
+            assert frame.matched_row_ids().tolist() == ids.tolist()
+            assert frame.n_matched_transfers == n
+            assert frame.local_remote_split() == split
+            for columns in (artifacts.columns, foreign):
+                table = columns.row_codes()
+                assert table is columns.row_codes()
+                flags = frame.matched_flags(table)[table.codes[table.rows]]
+                want = oracle.matched_flags(columns.transfers.row_id[table.rows], ids)
+                assert np.array_equal(flags, want)
+
+    @pytest.mark.parametrize("first_local", [True, False])
+    def test_duplicate_row_id_first_entry_decides_locality(self, first_local):
+        """One row id at two pack positions, one local and one remote,
+        matched by two jobs: the entry enumerated first decides the
+        split."""
+        local = make_transfer(row_id=5, lfn="f0", src="SITE-A", dst="SITE-A")
+        remote = make_transfer(row_id=5, lfn="f1", src="SITE-B", dst="SITE-A")
+        lfns = ["f0", "f1"] if first_local else ["f1", "f0"]
+        jobs = [make_job(pandaid=i + 1, nin=1000) for i in range(2)]
+        files = [make_file(pandaid=i + 1, lfn=lfn) for i, lfn in enumerate(lfns)]
+        source = _ingest(jobs, files, [local, remote])
+        result = match_artifacts(
+            default_matchers(KNOWN)[0], ArtifactCache(source).get(PLAN))
+        frame = result.frame()
+        assert frame.t_row_id.tolist() == [5, 5]
+        assert frame.t_local.tolist() == [first_local, not first_local]
+        want = (1, 0) if first_local else (0, 1)
+        assert frame.local_remote_split() == want == oracle.local_remote_split(result)
+        assert frame.local_remote_split() == oracle.frame_distinct(frame)[2]
+        assert frame.matched_row_ids().tolist() == [5]
+        assert frame.n_matched_transfers == 1
 
     def test_frame_and_timing_table_cached(self, small_report):
         result = small_report["exact"]
@@ -287,6 +372,105 @@ class TestWindowAnalysesParity:
         assert np.array_equal(
             submission_profile(columns, t0, t1).volume,
             oracle.submission_profile(tele.jobs, t0, t1).volume)
+
+
+@st.composite
+def bucket_cases(draw):
+    """Times on bucket edges and one ulp either side of them, inside
+    and around the range, with non-integer widths, negative offsets,
+    NaN, infinities and quotients past 2**53."""
+    width = draw(st.one_of(
+        st.sampled_from([3600.0, 0.1, 1 / 3, 7.5, 1e-3]),
+        st.floats(1e-3, 1e5, allow_nan=False, allow_infinity=False),
+    ))
+    t0 = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    n = draw(st.integers(1, 40))
+    edges = [t0 + k * width for k in range(-2, n + 3)]
+    pool = edges + [np.nextafter(e, side) for e in edges for side in (-np.inf, np.inf)]
+    pool += [np.nan, np.inf, -np.inf, 1e300, -1e300, t0 + 2.0**60 * width]
+    times = draw(st.lists(
+        st.one_of(
+            st.sampled_from(pool),
+            st.floats(t0 - 2 * width, t0 + (n + 2) * width, allow_nan=False),
+        ),
+        max_size=60,
+    ))
+    weights = draw(st.lists(
+        st.integers(0, 10**12), min_size=len(times), max_size=len(times)))
+    return np.array(times, dtype=np.float64), np.array(weights, dtype=np.int64), t0, width, n
+
+
+@st.composite
+def site_windows(draw):
+    """Sites only transfers name, the empty label, and windows with or
+    without an interned UNKNOWN (the dashboards' synthetic code)."""
+    labels = ["SITE-A", "SITE-B", ""] + ([] if draw(st.booleans()) else [UNKNOWN_SITE])
+    job_site = st.sampled_from(labels)
+    endpoint = st.sampled_from(labels + ["SITE-T"])
+    jobs = [
+        make_job(
+            pandaid=i + 1,
+            site=draw(job_site),
+            creation=draw(st.floats(0.0, 100.0)),
+            start=draw(st.one_of(st.none(), st.floats(0.0, 500.0))),
+            status=draw(st.sampled_from(["finished", "failed"])),
+            error_code=draw(st.sampled_from([0, 1099, 1201, -5, 2**62])),
+        )
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    transfers = [
+        make_transfer(row_id=i + 1, src=draw(endpoint), dst=draw(endpoint),
+                      size=draw(st.integers(0, 10**12)))
+        for i in range(draw(st.integers(0, 10)))
+    ]
+    return jobs, transfers
+
+
+ERROR_ROWS = st.lists(st.tuples(
+    st.integers(0, 3),
+    st.booleans(),
+    st.one_of(st.sampled_from([0, 1099, 1201, 1361, 4242]),
+              st.integers(-(2**63), 2**63 - 1)),
+), max_size=40)
+
+
+class TestKernelEdgeCases:
+    """The window pass's kernels against the expressions they replaced
+    (``tests/oracle.py``), on the inputs most likely to split them."""
+
+    @given(bucket_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bucket_accumulate_matches_floor_divide(self, case):
+        times, weights, t0, width, n = case
+        got = bucket_accumulate(times, weights, t0, width, n)
+        assert np.array_equal(got, oracle.bucket_accumulate(times, weights, t0, width, n))
+
+    def test_rounded_quotient_on_an_edge(self):
+        """``1.0 / 0.1`` rounds up to 10.0; Python's ``1.0 // 0.1`` is 9."""
+        got = bucket_accumulate(np.array([1.0]), np.array([1.0]), 0.0, 0.1, 20)
+        assert got.nonzero()[0].tolist() == [int(1.0 // 0.1)] == [9]
+
+    @given(site_windows())
+    @settings(max_examples=80, deadline=None)
+    def test_site_dashboards(self, window):
+        jobs, transfers = window
+        columns = columns_of(jobs, transfers)
+        boards = build_dashboards(columns)
+        assert_boards_equal(boards, oracle.build_dashboards(jobs, transfers))
+        assert list(boards) == oracle.site_first_appearances(columns)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @given(rows=ERROR_ROWS)
+    @settings(max_examples=80, deadline=None)
+    def test_error_mixes_negative_and_large_codes(self, dtype, rows):
+        group = np.array([g for g, _, _ in rows], dtype=dtype)
+        failed = np.array([f for _, f, _ in rows], dtype=bool)
+        codes = np.array([c for _, _, c in rows], dtype=np.int64)
+        got = grouped_error_mixes(group, failed, codes, 4)
+        want = oracle.grouped_error_mixes(group, failed, codes, 4)
+        assert got == want
+        assert [list(m.by_code) for m in got] == [list(m.by_code) for m in want]
+        assert [list(m.by_family) for m in got] == [list(m.by_family) for m in want]
 
 
 class TestRunAnalyses:

@@ -11,6 +11,7 @@ process-pool execution, serve verification and concurrent reads.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 import sys
@@ -19,7 +20,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.columnar.packs import WindowColumns
+from repro.columnar import ColumnarIndex, StringInterner
+from repro.columnar.packs import FilePack, JobPack, RowCodes, TransferPack, WindowColumns
 from repro.core.matching.base import JobMatch, LazyMatches, MatchResult
 from repro.core.matching.rm3 import RM3Matcher
 from repro.exec import (
@@ -131,10 +133,15 @@ class TestLazyResultContracts:
 
     def test_pickle_ships_the_list_not_the_window(self, dataset):
         _, report = _lazy_report(dataset)
+        # A lazily gathered frame that still pointed into the window
+        # would ship whole packs; so would a code table or the index.
+        window = (
+            LazyRecords, PackSource, WindowColumns, JobPack, FilePack,
+            TransferPack, RowCodes, ColumnarIndex,
+        )
 
         class NoWindowPickler(pickle.Pickler):
             def persistent_id(self, obj):
-                window = (LazyRecords, PackSource, WindowColumns)
                 assert not isinstance(obj, window), type(obj)
                 return None
 
@@ -144,8 +151,28 @@ class TestLazyResultContracts:
         assert back == report and report == back
         for m in report.methods:
             assert type(back[m].matches) is list
-            assert back[m]._frame is not None  # the frame ships instead
+            frame = back[m]._frame
+            assert frame is not None  # the frame ships instead
+            assert frame._src is None
+            # Every column answers from the shipped arrays alone.
+            for f in dataclasses.fields(frame):
+                if f.init:
+                    assert isinstance(frame.__dict__[f.name], (np.ndarray, StringInterner)) \
+                        or f.name == "transfer_rows", f.name
+            assert frame == report[m].frame()
             assert back[m].matched_pairs() == report[m].matched_pairs()
+            assert back[m].n_matched_transfers == report[m].n_matched_transfers
+            assert frame.local_remote_split() == report[m].frame().local_remote_split()
+
+    def test_window_columns_pickle_without_code_table(self, dataset):
+        columns = WindowArtifacts.materialize(
+            dataset.source, WindowPlan(*dataset.window)).columns
+        table = columns.row_codes()
+        back = pickle.loads(pickle.dumps(columns))
+        assert "_row_codes" not in back.__dict__
+        again = back.row_codes()
+        for name in ("ids", "rows", "codes"):
+            assert np.array_equal(getattr(again, name), getattr(table, name))
 
     def test_serial_equals_parallel(self, dataset):
         ds = dataset
@@ -265,6 +292,75 @@ class TestLazyResultContracts:
                         else:
                             assert value == want[m].matched_pairs()
                     assert res._frame is not None and res._frame_args is None
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_first_published_column_wins(self, dataset, monkeypatch):
+        """A reader that finishes gathering a column after another
+        reader published it returns the published array, not its own."""
+        from repro.columnar import frame as frame_mod
+
+        _, report = _lazy_report(dataset)
+        frame = report["exact"].frame()
+        gather = frame_mod._LAZY["t_start"]
+        calls = []
+        published = threading.Event()
+
+        def held(f):
+            value = gather(f)
+            calls.append(1)
+            if len(calls) == 1:
+                published.wait(10)  # the first gatherer publishes last
+            return value
+
+        monkeypatch.setitem(frame_mod._LAZY, "t_start", held)
+
+        def read(k):
+            if k:
+                while not calls:
+                    threading.Event().wait(0.001)
+                value = frame.t_start
+                published.set()
+                return value
+            return frame.t_start
+
+        got = _in_threads(read, 2)
+        assert len(calls) == 2
+        assert got[0] is got[1] is frame.t_start
+
+    def test_stress_racing_lazy_columns_and_tables(self, dataset):
+        """More readers than cores race one frame's first column reads,
+        the window's first code table and RM3's first scoring: every
+        reader gets the one published array, equal to a single
+        reader's."""
+        artifacts, expected = _lazy_report(dataset)
+        known = dataset.known_sites
+        want = {m: expected[m].frame() for m in expected.methods}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                artifacts, report = _lazy_report(dataset)
+                barrier = threading.Barrier(8)
+
+                def read(k, report=report, artifacts=artifacts, barrier=barrier):
+                    barrier.wait()
+                    frame = report["exact" if k % 2 else "rm2"].frame()
+                    return (
+                        frame, frame.t_start, frame.transfer_bytes,
+                        frame.n_matched_transfers, frame.local_remote_split(),
+                        artifacts.columns.row_codes(),
+                        artifacts.columnar.rm3_scores(RM3Matcher(known, threshold=k / 10)),
+                    )
+
+                got = _in_threads(read, 8)
+                for k, (frame, t_start, tbytes, n, split, table, scored) in enumerate(got):
+                    ref = want["exact" if k % 2 else "rm2"]
+                    assert t_start is frame.t_start and tbytes is frame.transfer_bytes
+                    assert np.array_equal(t_start, ref.t_start)
+                    assert np.array_equal(tbytes, ref.transfer_bytes)
+                    assert (n, split) == (ref.n_matched_transfers, ref.local_remote_split())
+                    assert table is got[0][5] and scored is got[0][6]
         finally:
             sys.setswitchinterval(previous)
 

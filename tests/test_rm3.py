@@ -187,6 +187,45 @@ class TestEngineParity:
         )
 
 
+class TestScoredOnce:
+    """One index scores RM3's candidates once per parameter set; every
+    threshold is then a mask over those scores."""
+
+    @given(rm3_windows())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_masks_equal_fresh_runs_at_score_values(self, window):
+        """Thresholds equal to actual scores (where ``>=`` decides):
+        the shared index keeps exactly what a fresh matcher on a fresh
+        index keeps, and what the oracle keeps."""
+        jobs, files, transfers = window
+        shared = ColumnarIndex(jobs, files, transfers)
+        scores = shared.rm3_scores(RM3Matcher(KNOWN))[2]
+        row_index = oracle.CandidateIndex(files, transfers)
+        for theta in sorted({0.0, *scores.tolist()}):
+            swept = shared.run(RM3Matcher(KNOWN, threshold=theta), 7)
+            fresh = ColumnarIndex(jobs, files, transfers).run(
+                RM3Matcher(KNOWN, threshold=theta), 7)
+            row = oracle.run_matcher(
+                RM3Matcher(KNOWN, threshold=theta), jobs, row_index, 7)
+            assert swept == fresh == row
+            assert swept.matched_pairs() == fresh.matched_pairs() == row.matched_pairs()
+
+    def test_cache_keys_on_scoring_parameters_not_threshold(self):
+        job, files, transfers = matching_triple()
+        index = ColumnarIndex([job], files, transfers)
+        base = index.rm3_scores(RM3Matcher(KNOWN))
+        assert index.rm3_scores(RM3Matcher(KNOWN, threshold=0.9)) is base
+        assert index.rm3_scores(RM3Matcher({"SITE-B", "SITE-A"})) is base
+        for other in (
+            RM3Matcher(KNOWN, tau=600.0),
+            RM3Matcher(KNOWN, rho=0.1),
+            RM3Matcher(KNOWN, site_prior=0.8),
+            RM3Matcher(KNOWN, site_contra=0.0),
+            RM3Matcher({"SITE-A"}),
+        ):
+            assert index.rm3_scores(other) is not base
+
+
 # -- threshold semantics ----------------------------------------------------------
 
 
