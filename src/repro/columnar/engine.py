@@ -22,12 +22,23 @@ Its output is held bit-identical to the plain-record reference join in
 
 * jobs are scanned in window order;
 * a job's candidates enumerate its file rows in insertion order, and
-  each file's transfers in insertion order (the join arrays are sorted
-  with *stable* sorts, so equal keys keep their relative order);
+  each file's transfers in insertion order (equal keys keep their
+  relative order: the join sorts stably, or sorts keys made distinct
+  by their position, which yields the same order);
 * duplicate candidates are dropped on first occurrence per
   ``(job, row_id)``;
 * integer byte totals are summed exactly (``np.add.at`` on ``int64``),
   never through float accumulators.
+
+The join sorts each key once.  Transfer runs come from one sort of the
+packed ``(jeditaskid, lfn)`` keys and one search per file row among
+the distinct keys; file rows already in ascending pandaid order over a
+dense range give each job its rows from a ``bincount`` start table.
+Those forms cost more NumPy calls than they save on small inputs, so
+below :data:`_SEARCH_ROWS` rows (a stream close has a handful) each
+step keeps a stable argsort and two ``searchsorted`` calls.  The
+choice reads only the input itself (its size, key span and order),
+and every form builds the same arrays.
 
 Matchers participate through the predicate hooks of
 :class:`~repro.core.matching.base.BaseMatcher`: the kernels recognize
@@ -47,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.interner import StringInterner
-from repro.columnar.kernels import ragged_arange, sorted_unique
+from repro.columnar.kernels import ascending, ragged_arange, sorted_unique
 from repro.columnar.packs import WindowColumns
 from repro.core.matching.base import BaseMatcher, JobMatch, LazyMatches, MatchResult
 from repro.core.matching.rm2 import RM2Matcher
@@ -118,6 +129,107 @@ def _joint_codes(
     )
 
 
+#: Below this many input rows a join step keeps the plain stable sort
+#: and two binary searches: the sort-once forms cost about a dozen more
+#: NumPy calls, which only pay off on larger inputs.  Measured over the
+#: joins of the seed-2025 two-day stream replay that
+#: ``benchmarks/bench_streaming.py`` runs, each window timed under every
+#: crossover in turn: its 124 re-match windows (up to 3.3k rows) join
+#: fastest in total with the crossover at 768-1024 rows (22.3 ms,
+#: against 25.3 ms for the sort-once forms throughout and 32.5 ms for
+#: the plain ones), and its 52 delta closes (2-18 rows) take 3.6 ms
+#: below the crossover against 6.3 ms above it.
+_SEARCH_ROWS = 1024
+
+#: Ascending file pandaids spanning at most this many times the file
+#: rows get a start table, O(span) in memory and time.  Timed against
+#: the stable sort + two searches it replaces (synthetic windows of
+#: 10k-1M file rows, three per job): the table takes 0.44-0.63x at
+#: span 0.35-1x the rows, 0.79-0.86x at 2x and 1.14-1.61x at 4x.  On
+#: rows out of pandaid order, which need the sort either way, it saved
+#: at most 6%, so those rows are sorted.  The ladder's windows span
+#: 0.35x their file rows.
+_DENSE_SPAN = 2
+
+
+def _key_runs(
+    keys: np.ndarray, queries: np.ndarray, span: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's run of equal keys in the stable sort of ``keys``.
+
+    Returns ``(order, lo, count)``: ``keys[order]`` is the stable sort
+    (equal keys keep their insertion order) and the keys equal to
+    ``queries[i]`` sit at ``order[lo[i]:lo[i] + count[i]]``.  All keys
+    lie in ``[0, span)``.
+
+    Past :data:`_SEARCH_ROWS`, the sort is NumPy's default sort of
+    ``key << b | position``: every packed key is distinct, so the
+    unstable sort yields exactly the stable order, without the merge
+    sort's cost.  Run bounds come from one adjacent-difference pass,
+    and each query is searched once, among the distinct keys.  Keys
+    too wide to pack into ``int64`` that way take the plain form.
+    """
+    n = len(keys)
+    shift = n.bit_length()
+    if not n or n + len(queries) < _SEARCH_ROWS or span > 1 << (63 - shift):
+        order = keys.argsort(kind="stable")
+        ordered = keys[order]
+        lo = ordered.searchsorted(queries, side="left")
+        return order, lo, ordered.searchsorted(queries, side="right") - lo
+    packed = keys << shift
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    ordered = packed >> shift
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:n])
+    bounds = edge.nonzero()[0]  # each run's start, then n
+    distinct = ordered[bounds[:-1]]
+    # A query past the last key is clipped onto it, and misses.
+    at = np.minimum(distinct.searchsorted(queries), len(distinct) - 1)
+    count = np.diff(bounds)[at]
+    count *= distinct[at] == queries
+    return order, bounds[at], count
+
+
+def _pandaid_groups(
+    f_pid: np.ndarray, j_pid: np.ndarray
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Each job's file rows: those sharing its pandaid, in row order.
+
+    Returns ``(order, lo, count)``: job ``i``'s file rows are
+    ``order[lo[i]:lo[i] + count[i]]``, where ``order=None`` stands for
+    the identity.
+
+    Past :data:`_SEARCH_ROWS`, rows already in ascending pandaid order
+    whose pandaids span at most :data:`_DENSE_SPAN` times the rows are
+    counted into a start table (``bincount`` + ``cumsum``), and each
+    job reads its group from it with no sort.  Other rows are stably
+    sorted and each job searched.
+    """
+    n = len(f_pid)
+    if n and n + len(j_pid) >= _SEARCH_ROWS:
+        base, hi = _MIN(f_pid), _MAX(f_pid)
+        span = int(hi) - int(base) + 1
+        if span <= _DENSE_SPAN * n and ascending(f_pid):
+            # Slot ``span`` stays empty: jobs outside the range read it.
+            counts = np.bincount(f_pid - base, minlength=span + 1)
+            starts = counts.cumsum() - counts
+            slot = np.where((j_pid >= base) & (j_pid <= hi), j_pid - base, span)
+            return None, starts[slot], counts[slot]
+    order = f_pid.argsort(kind="stable")
+    ordered = f_pid[order]
+    lo = ordered.searchsorted(j_pid, side="left")
+    return order, lo, ordered.searchsorted(j_pid, side="right") - lo
+
+
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()``, at a third of its call cost on the few-row masks
+    of a stream close (0.3 against 0.9 µs)."""
+    return np.count_nonzero(mask) == len(mask)
+
+
 def _indexable(seq) -> bool:
     return hasattr(seq, "__getitem__") and hasattr(seq, "__len__")
 
@@ -185,35 +297,31 @@ class ColumnarIndex:
         # (jeditaskid, lfn_code) -> sorted transfer runs.  Task ids are
         # code-compressed over the union of both sides so the pair packs
         # into one int64 key without overflow assumptions on raw ids.
-        lfn_span = np.int64(len(self.columns.interner) + 1)
-        t_task, f_task, _ = _joint_codes(
-            tp.jeditaskid[joinable], fp.jeditaskid, (1 << 62) // int(lfn_span)
+        lfn_span = len(self.columns.interner) + 1
+        t_task, f_task, task_span = _joint_codes(
+            tp.jeditaskid[joinable], fp.jeditaskid, (1 << 62) // lfn_span
         )
         t_key = t_task * lfn_span + tp.lfn[joinable]
         f_key = f_task * lfn_span + fp.lfn
-        order = t_key.argsort(kind="stable")  # stable: insertion order in runs
-        sorted_tkey = t_key[order]
+        # Per file row: the run of transfers sharing its (task, lfn) key,
+        # in insertion order.
+        order, run_lo, run_len = _key_runs(t_key, f_key, int(task_span) * lfn_span)
         sorted_tpos = joinable[order]
-
-        # Per file row: the run of transfers sharing its (task, lfn) key.
-        run_lo = sorted_tkey.searchsorted(f_key, side="left")
-        run_hi = sorted_tkey.searchsorted(f_key, side="right")
 
         # Expand jobs -> their file rows: the rows sharing the job's
         # pandaid (insertion order inside each pandaid run), kept where
         # the task id matches too — F'_j's (pandaid, jeditaskid) key.
-        file_order = fp.pandaid.argsort(kind="stable")
-        sorted_pid = fp.pandaid[file_order]
-        group_lo = sorted_pid.searchsorted(jp.pandaid, side="left")
-        group_hi = sorted_pid.searchsorted(jp.pandaid, side="right")
-        files_per_job = group_hi - group_lo
+        file_order, group_lo, files_per_job = _pandaid_groups(fp.pandaid, jp.pandaid)
         entry_job = np.arange(n_jobs, dtype=np.int64).repeat(files_per_job)
-        entry_fi = file_order[ragged_arange(group_lo, files_per_job)]
+        entry_fi = ragged_arange(group_lo, files_per_job)
+        if file_order is not None:
+            entry_fi = file_order[entry_fi]
         same_task = fp.jeditaskid[entry_fi] == jp.jeditaskid[entry_job]
-        entry_job, entry_fi = entry_job[same_task], entry_fi[same_task]
+        if not _all(same_task):
+            entry_job, entry_fi = entry_job[same_task], entry_fi[same_task]
 
         # Expand file rows -> their candidate transfer runs.
-        cands_per_entry = run_hi[entry_fi] - run_lo[entry_fi]
+        cands_per_entry = run_len[entry_fi]
         cand_job = entry_job.repeat(cands_per_entry)
         cand_fi = entry_fi.repeat(cands_per_entry)
         cand_tpos = sorted_tpos[ragged_arange(run_lo[entry_fi], cands_per_entry)]
@@ -227,23 +335,27 @@ class ColumnarIndex:
             & (tp.proddblock[cand_tpos] == fp.proddblock[cand_fi])
             & (tp.scope[cand_tpos] == fp.scope[cand_fi])
         )
-        r_job = cand_job[attr_relaxed]
-        r_tpos = cand_tpos[attr_relaxed]
-        r_fi = cand_fi[attr_relaxed]
+        r_job, r_tpos, r_fi = cand_job, cand_tpos, cand_fi
+        if not _all(attr_relaxed):
+            r_job, r_tpos, r_fi = r_job[attr_relaxed], r_tpos[attr_relaxed], r_fi[attr_relaxed]
         size_eq = tp.size[r_tpos] == fp.size[r_fi]
+        all_sized = _all(size_eq)
 
         # First-occurrence dedup per (job, row_id).  The sized and
         # relaxed joins dedup independently — each follows its own
         # enumeration, so "first occurrence" can differ between them
         # (a size-mismatched file row can reach a transfer first).
-        # Only RM3 reads the relaxed join, so its dedup waits for
-        # :meth:`relaxed_join`.
-        s_job, s_tpos = r_job[size_eq], r_tpos[size_eq]
+        # When no candidate's size differs the two joins are one, and
+        # so are their dedups; otherwise only RM3 reads the relaxed
+        # join, so its dedup waits for :meth:`relaxed_join`.
+        s_job, s_tpos = (r_job, r_tpos) if all_sized else (r_job[size_eq], r_tpos[size_eq])
         sized = _first_pairs(s_job, tp.row_id[s_tpos], n_jobs)
         self.cand_job = s_job[sized]
         self.cand_tpos = s_tpos[sized]
-        self._relaxed_args = (r_job, r_tpos, r_fi)
-        self._relaxed: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._relaxed: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
+            (self.cand_job, self.cand_tpos, r_fi[sized]) if all_sized else None
+        )
+        self._relaxed_args = None if all_sized else (r_job, r_tpos, r_fi)
 
     def relaxed_join(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RM3's size-relaxed join as ``(job, transfer, file)`` positions,
@@ -344,29 +456,38 @@ class ColumnarIndex:
         return result
 
     def _run_inner(self, matcher: BaseMatcher, n_transfers_considered: int) -> MatchResult:
-        if type(matcher).size_tolerant_join:
-            return self._run_rm3(matcher, n_transfers_considered)
-        cand_job, cand_tpos = self.cand_job, self.cand_tpos
-        if len(cand_job):  # an empty join has nothing to filter
-            if type(matcher).site_ok is RM2Matcher.site_ok:
-                site_mask = self._site_mask(relax=matcher)
-            else:
-                site_mask = self.strict_site_mask
-            kept = self.time_mask & site_mask
-            cand_job = cand_job[kept]
-            cand_tpos = cand_tpos[kept]
-
-        if type(matcher).select_job is not BaseMatcher.select_job:
+        if _selects_per_job(matcher):
             # A select_job override decides per job over records, so
             # its result is a record list that lowers to a frame lazily
             # via MatchResult.frame().
             return MatchResult(
                 method=matcher.name,
-                matches=self._select_per_job(matcher, cand_job, cand_tpos),
+                matches=[jm for _, jm in self.job_matches(matcher)],
                 n_jobs_considered=len(self.jobs),
                 n_transfers_considered=n_transfers_considered,
             )
-        if matcher.use_size_check and len(cand_job):
+        return self._result(matcher, *self._kept(matcher), n_transfers_considered)
+
+    def _kept(self, matcher: BaseMatcher) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidates ``matcher``'s filters keep, as ``(cand_job,
+        cand_tpos)``: RM3's scored decision, or the time and site masks
+        and then the whole-set size check (which a ``select_job``
+        override replaces with its own per-job decision)."""
+        if type(matcher).size_tolerant_join:
+            cand_job, cand_tpos, score = self.rm3_scores(matcher)
+            keep = score >= matcher.threshold
+            return cand_job[keep], cand_tpos[keep]
+        cand_job, cand_tpos = self.cand_job, self.cand_tpos
+        if not len(cand_job):  # an empty join has nothing to filter
+            return cand_job, cand_tpos
+        if type(matcher).site_ok is RM2Matcher.site_ok:
+            site_mask = self._site_mask(relax=matcher)
+        else:
+            site_mask = self.strict_site_mask
+        kept = self.time_mask & site_mask
+        cand_job = cand_job[kept]
+        cand_tpos = cand_tpos[kept]
+        if matcher.use_size_check and len(cand_job) and not _selects_per_job(matcher):
             tp, jp = self.columns.transfers, self.columns.jobs
             totals = np.zeros(len(jp), dtype=np.int64)
             np.add.at(totals, cand_job, tp.size[cand_tpos])
@@ -374,7 +495,28 @@ class ColumnarIndex:
             keep = size_ok[cand_job]
             cand_job = cand_job[keep]
             cand_tpos = cand_tpos[keep]
-        return self._result(matcher, cand_job, cand_tpos, n_transfers_considered)
+        return cand_job, cand_tpos
+
+    def job_matches(self, matcher: BaseMatcher) -> List[Tuple[int, JobMatch]]:
+        """``(job row, JobMatch)`` per matched job, in window job order.
+
+        The matches :meth:`run` lists, each with its job's row in this
+        index, built eagerly.  Unlike :meth:`run` it neither checks the
+        matcher nor traces the call, so it is for callers that checked
+        their matchers with :func:`supports_columnar` up front and pay
+        per call: a stream close runs every method on a few rows.
+        """
+        cand_job, cand_tpos = self._kept(matcher)
+        if not _selects_per_job(matcher):
+            return _job_matches(self.jobs, self.transfers, cand_job, cand_tpos)
+        out: List[Tuple[int, JobMatch]] = []
+        take = self.transfers.__getitem__
+        for j, group in _grouped(cand_job, cand_tpos):
+            job = self.jobs[j]
+            kept = matcher.select_job(job, list(map(take, group)))
+            if kept:
+                out.append((j, JobMatch(job=job, transfers=kept)))
+        return out
 
     def _result(
         self,
@@ -398,11 +540,7 @@ class ColumnarIndex:
         jobs, transfers = self.jobs, self.transfers
 
         def assemble() -> List[JobMatch]:
-            take = transfers.__getitem__
-            return [
-                JobMatch(job=jobs[j], transfers=list(map(take, group)))
-                for j, group in _grouped(cand_job, cand_tpos)
-            ]
+            return [jm for _, jm in _job_matches(jobs, transfers, cand_job, cand_tpos)]
 
         n_runs = (
             int(np.count_nonzero(cand_job[1:] != cand_job[:-1])) + 1
@@ -416,16 +554,6 @@ class ColumnarIndex:
         )
         result._frame_args = (self.columns, cand_job, cand_tpos)
         return result
-
-    def _run_rm3(self, matcher: RM3Matcher, n_transfers_considered: int) -> MatchResult:
-        """RM3's scored decision: ``score >= threshold`` over the window's
-        scored candidates (:meth:`rm3_scores`), so every threshold of a
-        sweep is one mask over one scoring pass."""
-        cand_job, cand_tpos, score = self.rm3_scores(matcher)
-        keep = score >= matcher.threshold
-        return self._result(
-            matcher, cand_job[keep], cand_tpos[keep], n_transfers_considered
-        )
 
     def rm3_scores(self, matcher: RM3Matcher) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RM3's gated candidates and their scores, as
@@ -482,19 +610,6 @@ class ColumnarIndex:
         score = (f_time * f_site) * f_size
         return self._rm3_scores.setdefault(key, (cand_job, cand_tpos, score))
 
-    def _select_per_job(
-        self, matcher: BaseMatcher, cand_job: np.ndarray, cand_tpos: np.ndarray
-    ) -> List[JobMatch]:
-        """Custom set-level selection (e.g. subset-sum) per candidate group."""
-        matches: List[JobMatch] = []
-        take = self.transfers.__getitem__
-        for j, group in _grouped(cand_job, cand_tpos):
-            job = self.jobs[j]
-            kept = matcher.select_job(job, list(map(take, group)))
-            if kept:
-                matches.append(JobMatch(job=job, transfers=kept))
-        return matches
-
 
 def _first_pairs(jobs: np.ndarray, row_ids: np.ndarray, n_jobs: int):
     """Index of each (job, row id) pair's first occurrence, in order.
@@ -514,6 +629,27 @@ def _first_pairs(jobs: np.ndarray, row_ids: np.ndarray, n_jobs: int):
     first = order[np.concatenate(([True], ~repeat))]
     first.sort()  # restore candidate-enumeration order
     return first
+
+
+def _selects_per_job(matcher: BaseMatcher) -> bool:
+    """Does ``matcher`` override the per-job set-level decision?  (RM3's
+    scored decision is its own and takes no ``select_job``.)"""
+    cls = type(matcher)
+    return not cls.size_tolerant_join and cls.select_job is not BaseMatcher.select_job
+
+
+def _job_matches(
+    jobs: Sequence[JobRecord],
+    transfers: Sequence[TransferRecord],
+    cand_job: np.ndarray,
+    cand_tpos: np.ndarray,
+) -> List[Tuple[int, JobMatch]]:
+    """``(job row, JobMatch)`` per job run of the candidate arrays."""
+    take = transfers.__getitem__
+    return [
+        (j, JobMatch(job=jobs[j], transfers=list(map(take, group))))
+        for j, group in _grouped(cand_job, cand_tpos)
+    ]
 
 
 def _grouped(cand_job: np.ndarray, cand_tpos: np.ndarray):

@@ -4,7 +4,8 @@ These are the array primitives the join and the §5 analyses lower to:
 ragged ranges for CSR expansion, segmented prefix maxima over CSR
 ragged arrays, the sorted-boundary interval union behind the paper's
 "file transfer time", dense codes over row ids (the distinct-transfer
-counts), and sequential-order bucket accumulation.
+counts), sequential-order bucket accumulation, and the sortedness
+check that lets ascending ids skip their sort.
 
 Bit-identity with the row implementations is the contract, so every
 kernel reproduces the reference code's *accumulation order*, not just
@@ -122,14 +123,24 @@ def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (starts - ends + counts).repeat(counts) + np.arange(total, dtype=np.int64)
 
 
+def ascending(values: np.ndarray) -> bool:
+    """Whether ``values`` is non-decreasing: one adjacent-difference
+    pass, the check that lets already-sorted input skip its sort."""
+    return not (values[1:] < values[:-1]).any()
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted: ``np.unique(values)`` by sorting and
-    an adjacent-difference mask.  The plain ``np.unique`` form imports
+    """The distinct values, sorted: ``np.unique(values)`` by an
+    adjacent-difference mask, sorting first only input that is not
+    already ascending.  The result is always a new array, never
+    ``values`` itself.  The plain ``np.unique`` form imports
     ``numpy.ma`` under NumPy 2.4, over a MiB of resident set."""
-    out = np.sort(values)
-    if len(out) > 1:
-        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
-    return out
+    if not ascending(values):
+        values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def dense_codes(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

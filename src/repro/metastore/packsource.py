@@ -20,7 +20,10 @@ Three pieces make it scale:
 * **time shards** — per-slice sorted ``(values, ids)`` indices over job
   endtime and transfer starttime (the two fields window preselection
   ranges over), so a window query touches only the shards it overlaps
-  and appends land in the tail shard without re-sorting history;
+  and appends land in the tail shard without re-sorting history.  A
+  window's ids come back ascending; rows appended in time order cut
+  ascending ids already, so a sort runs only when a sortedness check
+  fails (a simulated campaign's stored rows are not in time order);
 * **lazy record views** — :class:`LazyRecords` sequences that build a
   record from the arrays on ``__getitem__`` and cache it, so repeated
   access returns the identical object (record identity holds across
@@ -41,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnar.interner import StringInterner
-from repro.columnar.kernels import ragged_arange, sorted_unique
+from repro.columnar.kernels import ascending, ragged_arange, sorted_unique
 from repro.columnar.packs import WindowColumns
 from repro.obs import SIZE_BUCKETS, get_obs
 from repro.telemetry.records import FileRecord, JobRecord, TransferRecord
@@ -243,8 +246,12 @@ class _TimeShards:
             ).inc(self.n_shards)
         if not parts:
             return np.empty(0, dtype=np.int64)
+        # A new array either way: the parts are views into the shards.
+        # Rows appended in time order come out ascending already, and
+        # only an out-of-order store pays for the sort.
         out = np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-        out.sort()
+        if not ascending(out):
+            out.sort()
         return out
 
     def sorted_flat(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -490,7 +497,8 @@ class PackSource:
         lo = np.searchsorted(self._file_pandaid_sorted, uniq, side="left")
         hi = np.searchsorted(self._file_pandaid_sorted, uniq, side="right")
         out = self._file_order[ragged_arange(lo, hi - lo)]
-        out.sort()
+        if not ascending(out):
+            out.sort()
         return _counted("files", out)
 
     # -- the §4.2 retrieval surface -------------------------------------------

@@ -189,7 +189,9 @@ class IncrementalMatcher:
         close costs O(closing jobs + their candidates), however long
         the stream has run.  Each match maps back to its job's sequence
         through its row in the delta index, so two closing jobs sharing
-        one record object stay two matches.
+        one record object stay two matches.  Each method's matches come
+        from :meth:`ColumnarIndex.job_matches`, which skips the
+        per-call check and tracing of :meth:`ColumnarIndex.run`.
         """
         ready: List[int] = []
         while self._heap and self._heap[0][0] <= watermark:
@@ -241,17 +243,11 @@ class IncrementalMatcher:
 
         out: Dict[str, List[Finalized]] = {}
         for matcher in self.matchers:
-            res = index.run(matcher, n_transfers_considered=0)
-            # Matches come at most one per job row, in row order, so each
-            # belongs to the next row holding its record.  Rows sharing
-            # one record object have identical candidates and outcomes.
-            finalized: List[Finalized] = []
-            row = 0
-            for jm in res.matches:
-                while active[row].record is not jm.job:
-                    row += 1
-                finalized.append(Finalized(seq=active[row].seq, match=jm))
-                row += 1
+            # The matchers were checked once, at construction.
+            finalized = [
+                Finalized(seq=active[row].seq, match=jm)
+                for row, jm in index.job_matches(matcher)
+            ]
             self._final[matcher.name].update(
                 (f.seq, f.match) for f in finalized
             )

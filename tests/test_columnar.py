@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ColumnarIndex, StringInterner, supports_columnar
+from repro.columnar import ColumnarIndex, StringInterner, engine, supports_columnar
 from repro.columnar.packs import WindowColumns
 from repro.core.analysis.summary import headline_stats
 from repro.core.matching.base import BaseMatcher
@@ -23,6 +23,7 @@ from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.rm1 import RM1Matcher
 from repro.core.matching.rm2 import RM2Matcher
 from repro.core.matching.pipeline import MatchingPipeline
+from repro.core.matching.rm3 import RM3Matcher
 from repro.core.matching.subset import SubsetMatcher
 from repro.exec import (
     ArtifactCache,
@@ -293,6 +294,146 @@ class TestParity:
                 cold.run(matcher, n_transfers_considered=0).matched_pairs()
                 == shared.run(matcher, n_transfers_considered=0).matched_pairs()
             )
+
+
+def crossing_window(seed: int, sparse: bool = False, shuffled: bool = False,
+                    sized: bool = False):
+    """A window past the join's small-input crossover, so the sort-once
+    forms run: 420 jobs, ~1k file rows and ~1.5k joinable transfers.
+
+    Built so a wrong join shows: 12 lfns are shared by 30 tasks, and
+    decoy transfers carry a file's lfn, dataset, scope and size under
+    another task id (runs keyed on the lfn alone admit them); (task,
+    lfn) keys repeat on both sides, every seventh job shares the
+    previous job's pandaid, some file rows carry a foreign task id,
+    and transfer row ids repeat.  ``sparse`` spaces pandaids and task
+    ids 10**12 apart (no dense pandaid table); ``shuffled`` puts the
+    file rows out of pandaid order; ``sized`` gives every file row of
+    one lfn the same size and every transfer its file's size, so the
+    sized and the size-relaxed joins are one.
+    """
+    rng = np.random.default_rng(seed)
+    step = 10**12 if sparse else 1
+    tasks = [7 + k * step for k in range(30)]
+    sites = ["SITE-A", "SITE-B", UNKNOWN_SITE]
+    jobs, files, transfers, row_ids = [], [], [], []
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def transfer(task, f, end):
+        drift = 0 if sized or rng.random() < 0.8 else 500
+        reuse = row_ids and rng.random() < 0.05
+        row_ids.append(pick(row_ids) if reuse else len(row_ids) + 1)
+        transfers.append(make_transfer(
+            row_id=row_ids[-1], lfn=f.lfn,
+            dataset=f.dataset if rng.random() < 0.85 else pick(["ds0", "ds1", "ds2"]),
+            proddblock=f.proddblock, scope=f.scope, size=f.file_size + drift,
+            jeditaskid=task, src=pick(sites), dst=pick(sites),
+            download=bool(rng.random() < 0.7), upload=bool(rng.random() < 0.2),
+            start=end - float(rng.uniform(-300.0, 2000.0)),
+        ))
+
+    for i in range(420):
+        task = pick(tasks)
+        end = float(rng.uniform(1000.0, 9000.0))
+        own = []
+        for _ in range(int(rng.integers(1, 5))):
+            ds = pick(["ds0", "ds1", "ds2"])
+            lfn = int(rng.integers(12))
+            own.append(make_file(
+                pandaid=3 + (i - 1 if i % 7 == 6 else i) * step,
+                jeditaskid=task if rng.random() < 0.9 else pick(tasks),
+                lfn=f"lfn{lfn}", dataset=ds, proddblock=ds,
+                size=1000 * (1 + lfn % 3) if sized else pick([1000, 2000, 3000]),
+            ))
+        for f in own:
+            for _ in range(int(rng.integers(0, 3))):
+                transfer(f.jeditaskid, f, end)
+            if rng.random() < 0.4:
+                transfer(pick(tasks), f, end)  # same lfn, other task
+            if rng.random() < 0.1:
+                transfer(pick([0, -3]), f, end)  # never joinable
+        total = sum(f.file_size for f in own)
+        jobs.append(make_job(
+            pandaid=own[0].pandaid, jeditaskid=task, site=pick(sites), end=end,
+            nin=total if rng.random() < 0.6 else total + 1000,
+        ))
+        files.extend(own)
+    order = rng.permutation(len(transfers))
+    transfers = [transfers[k] for k in order]
+    if shuffled:
+        files = [files[k] for k in rng.permutation(len(files))]
+    return jobs, files, transfers
+
+
+def warm_interner(n: int = 10_000) -> StringInterner:
+    """An interner already holding ``n`` strings no window uses, as a
+    long-lived store's does: lfn codes then span far past the rows."""
+    it = StringInterner()
+    for i in range(n):
+        it.intern(f"unrelated-{i}")
+    return it
+
+
+def oracle_candidates(jobs, files, transfers):
+    """The oracle's sized and size-relaxed candidates as ``(job row,
+    transfer position)`` pairs in enumeration order, and each relaxed
+    candidate's relative size mismatch."""
+    index = oracle.CandidateIndex(files, transfers)
+    pos = {id(t): p for p, t in enumerate(transfers)}
+    sized, relaxed, rel = [], [], []
+    for j, job in enumerate(jobs):
+        sized += [(j, pos[id(t)]) for t in index.candidates_for_job(job)]
+        for t, mismatch in index.scored_candidates_for_job(job):
+            relaxed.append((j, pos[id(t)]))
+            rel.append(mismatch)
+    return sized, relaxed, rel
+
+
+class TestJoinStrategies:
+    """Past the crossover the join sorts packed keys once, searches the
+    distinct keys and reads pandaid groups from a start table when the
+    file rows are ascending and dense (otherwise, and for keys too wide
+    to pack, it sorts stably); every form must build the oracle's
+    candidate arrays and matches."""
+
+    @pytest.mark.parametrize("sparse,shuffled,sized,warm", [
+        (False, False, False, False),  # dense pandaid table, rows grouped
+        (False, True, True, False),    # dense but out of order: sort + search
+        (True, False, False, False),   # sparse pandaids: sort + search
+        (True, True, True, True),      # keys too wide to pack: stable sort
+        (False, False, True, True),    # a warm interner alone still packs
+    ])
+    def test_crossing_windows_match_the_oracle(self, sparse, shuffled, sized, warm):
+        jobs, files, transfers = crossing_window(11, sparse, shuffled, sized)
+        interner = warm_interner() if warm else None
+        index = ColumnarIndex(jobs, files, transfers, interner=interner)
+        n_keys = sum(t.jeditaskid > 0 for t in transfers)
+        assert n_keys + len(files) >= engine._SEARCH_ROWS
+        assert len(files) + len(jobs) >= engine._SEARCH_ROWS
+        key_span = (29 * 10**12 + 1 if sparse else 30) * (len(index.columns.interner) + 1)
+        assert (key_span > 1 << (63 - n_keys.bit_length())) == (sparse and warm)
+
+        sized_pairs, relaxed_pairs, rel = oracle_candidates(jobs, files, transfers)
+        assert list(zip(index.cand_job.tolist(), index.cand_tpos.tolist())) == sized_pairs
+        r_job, r_tpos, r_fi = index.relaxed_join()
+        assert list(zip(r_job.tolist(), r_tpos.tolist())) == relaxed_pairs
+        tp, fp = index.columns.transfers, index.columns.files
+        got_rel = np.abs(tp.size[r_tpos] - fp.size[r_fi]) / np.maximum(fp.size[r_fi], 1)
+        assert got_rel.tolist() == rel
+        assert (index._relaxed_args is None) == sized
+        assert (relaxed_pairs == sized_pairs) == sized
+
+        row_index = oracle.CandidateIndex(files, transfers)
+        for matcher in all_matchers() + [RM3Matcher(KNOWN)]:
+            row = oracle.run_matcher(matcher, jobs, row_index, n_transfers_considered=0)
+            col = index.run(matcher, n_transfers_considered=0)
+            assert col.matched_pairs() == row.matched_pairs()
+            assert col.matches == row.matches
+            rows = index.job_matches(matcher)
+            assert [m for _, m in rows] == row.matches
+            assert [j for j, _ in rows] == [jobs.index(m.job) for m in row.matches]
 
 
 def _ingest(jobs, files, transfers) -> PackSource:

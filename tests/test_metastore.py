@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.columnar.kernels import ascending
 from repro.metastore.packsource import PackSource
 from repro.obs import Obs, use_obs
 
+from tests import oracle
 from tests.helpers import make_file, make_job, make_transfer
 
 
@@ -149,6 +151,52 @@ class TestFileLookup:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class TestOutOfOrderStore:
+    """Rows appended out of time and pandaid order: the ids the shards
+    and the file index hand out do not come out ascending, so the store
+    must sort them, and every window lists rows in storage order, as
+    the brute-force reference does."""
+
+    def test_window_ids_match_the_record_source(self):
+        rng = np.random.default_rng(5)
+        day = 86400.0
+        jobs, files = [], []
+        for i in range(60):
+            pandaid = 100 + int(rng.integers(40))  # repeats, in no order
+            jobs.append(make_job(pandaid=pandaid, end=float(rng.uniform(0, 4 * day))))
+            files += [
+                make_file(pandaid=pandaid, lfn=f"f{i}.{k}")
+                for k in range(int(rng.integers(1, 4)))
+            ]
+        transfers = [
+            make_transfer(row_id=i, start=float(rng.uniform(0, 4 * day)))
+            for i in range(90)
+        ]
+        source = PackSource.from_records([], [], [])
+        for k in range(3):  # three appends, each spanning every shard
+            source.ingest_batch(
+                jobs=jobs[k * 20:(k + 1) * 20],
+                files=files[k * len(files) // 3:(k + 1) * len(files) // 3],
+                transfers=transfers[k * 30:(k + 1) * 30],
+            )
+        reference = oracle.RecordSource(jobs, files, transfers)
+        # the sorts are really needed
+        for shards in (source._job_shards, source._transfer_shards):
+            assert not ascending(shards.sorted_flat()[1])
+        assert not ascending(source._file_order)
+        for t0, t1 in ((0.0, 4 * day), (0.7 * day, 2.9 * day), (1.2 * day, 1.3 * day)):
+            got = source.materialize_window(t0, t1, user_jobs_only=False)
+            want = reference.materialize_window(t0, t1, user_jobs_only=False)
+            assert len(got[0]) and len(got[2])
+            for g, w in zip(got[:3], want[:3]):
+                assert list(g) == list(w)
+            # the packs are cut by the same ids (string codes differ
+            # between the two interners, numbers do not)
+            assert got[3].jobs.endtime.tolist() == [j.endtime for j in want[0]]
+            assert got[3].files.pandaid.tolist() == [f.pandaid for f in want[1]]
+            assert got[3].transfers.row_id.tolist() == [t.row_id for t in want[2]]
 
 
 class TestStoreReads:
